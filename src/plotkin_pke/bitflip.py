@@ -20,14 +20,17 @@ Failure is reported in-band through ``DecodeOutcome.success``; decoding is
 fully deterministic given (H, y, config).
 
 The second half of the module estimates decoding failure rates (DFR) by
-Monte Carlo: fresh code, fresh message, fresh weight-t error per trial,
-with exact Clopper-Pearson 95% intervals, and a scan that picks the
-largest error weight meeting a target DFR.
+Monte Carlo: fresh code and fresh weight-t error per trial, with exact
+Clopper-Pearson 95% intervals, and a scan that picks the largest error
+weight meeting a target DFR.  A trial decodes the error alone rather than
+codeword + error: every decision above depends only on the syndrome, and
+H (c + e)^T = H e^T, so both words take the same steps and fail together.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from concurrent.futures import ProcessPoolExecutor
 
@@ -35,8 +38,8 @@ import numpy as np
 from scipy.stats import beta as _beta
 
 from .gf2 import BitVector, sample_fixed_weight
-from .gf2 import _mul_mod, _transpose_row  # packed polynomial kernels
-from .qc import QcParams, QcParityCheck, derive_generator, encode, sample_parity_check
+from .qc import QcParams, QcParityCheck, sample_parity_check
+from .qc import _syndrome_int, _transposed_rows, _word_blocks  # packed kernels
 from .rng import RandomStream, derive_substream_seed, substream
 
 VARIANTS = ("classic-bf", "backflip")
@@ -96,22 +99,19 @@ class DecodeOutcome:
     error_vector: BitVector | None
 
 
-def _syndrome_int(y_blocks: list[int], h_t_rows: list[int], r: int) -> int:
-    s = 0
-    for yb, ht in zip(y_blocks, h_t_rows):
-        s ^= _mul_mod(yb, ht, r)
-    return s
-
-
 def _unpack_bits(value: int, r: int) -> np.ndarray:
     raw = np.frombuffer(value.to_bytes((r + 7) // 8, "little"), dtype=np.uint8)
     return np.unpackbits(raw, bitorder="little")[:r]
 
 
-def _gather_indices(supports: list[np.ndarray], r: int) -> list[np.ndarray]:
+def _decoder_setup(h: QcParityCheck) -> tuple[list[int], list[np.ndarray]]:
+    """Transposed H rows and upc gather indices, both fixed by H alone."""
+    r = h.params.r
+    supports = [np.array(b.row0.support(), dtype=np.intp) for b in h.blocks]
     # upc of bit j in block i sums s over the support of column j, i.e.
     # positions (j - u) mod r for u in the block's row support
-    return [(np.arange(r)[None, :] - supp[:, None]) % r for supp in supports]
+    gather = [(np.arange(r)[None, :] - supp[:, None]) % r for supp in supports]
+    return _transposed_rows(h), gather
 
 
 def _upc_from_syndrome(s: int, gather: list[np.ndarray], r: int) -> np.ndarray:
@@ -122,27 +122,17 @@ def _upc_from_syndrome(s: int, gather: list[np.ndarray], r: int) -> np.ndarray:
 def upc_profile(h: QcParityCheck, word: BitVector) -> np.ndarray:
     """Unsatisfied-check count for every bit position, as an int array."""
     r = h.params.r
-    if word.length != h.params.n:
-        raise ValueError("word length differs from code length")
-    y_blocks = [c.value for c in word.chunks(r)]
-    h_t_rows = [_transpose_row(b.row0.value, r) for b in h.blocks]
-    supports = [np.array(b.row0.support(), dtype=np.intp) for b in h.blocks]
-    s = _syndrome_int(y_blocks, h_t_rows, r)
-    return _upc_from_syndrome(s, _gather_indices(supports, r), r)
+    y_blocks = _word_blocks(h, word)
+    h_t_rows, gather = _decoder_setup(h)
+    return _upc_from_syndrome(_syndrome_int(y_blocks, h_t_rows, r), gather, r)
 
 
 def decode(h: QcParityCheck, word: BitVector, cfg: DecoderConfig) -> DecodeOutcome:
     """Deterministic bit-flipping decode of ``word`` against parity check ``h``."""
-    params = h.params
-    r, n = params.r, params.n
-    if word.length != n:
-        raise ValueError("word length differs from code length")
-
-    y_blocks = [c.value for c in word.chunks(r)]
-    h_t_rows = [_transpose_row(b.row0.value, r) for b in h.blocks]
-    supports = [np.array(b.row0.support(), dtype=np.intp) for b in h.blocks]
-    gather = _gather_indices(supports, r)
-    col_weights = np.repeat([len(sp) for sp in supports], r).astype(np.int32)
+    r, n = h.params.r, h.params.n
+    y_blocks = _word_blocks(h, word)
+    h_t_rows, gather = _decoder_setup(h)
+    col_weights = np.repeat(h.block_weights, r).astype(np.int32)
     majority = (col_weights + 2) // 2  # ceil((colWeight + 1) / 2)
 
     def apply_toggles(positions: np.ndarray) -> None:
@@ -265,23 +255,25 @@ class DfrReport:
 def _dfr_trial(params: QcParams, t: int, cfg: DecoderConfig, stream: RandomStream) -> bool:
     """One Monte-Carlo trial; True on decoding failure.
 
-    A "failure" is anything other than recovering the transmitted codeword,
-    so a miscorrection (valid but wrong codeword) also counts.
+    Decodes the error e alone (see the module docstring).  A "failure" is
+    anything other than recovering e, so a miscorrection (valid but wrong
+    codeword) also counts.
     """
     h = sample_parity_check(stream, params)
-    gen = derive_generator(h)
-    message = BitVector(params.k, stream.take_bits(params.k))
-    codeword = encode(gen, message)
+    stream.take_bits(params.k)  # the unused message: keeps later draws in place
     error = sample_fixed_weight(stream, params.n, t)
-    outcome = decode(h, codeword ^ error, cfg)
-    return not (outcome.success and outcome.codeword == codeword)
+    outcome = decode(h, error, cfg)
+    return not (outcome.success and outcome.error_vector == error)
 
 
 def _dfr_range(params: QcParams, t: int, cfg: DecoderConfig, seed: bytes,
-               lo: int, hi: int) -> int:
+               lo: int, hi: int, stop_at: int | None = None) -> int:
+    """Failures over trials lo..hi-1; stops early once they reach stop_at."""
     failures = 0
     for i in range(lo, hi):
         failures += _dfr_trial(params, t, cfg, substream(seed, i))
+        if failures == stop_at:
+            break
     return failures
 
 
@@ -350,21 +342,18 @@ def select_t_for_dfr(params: QcParams, target_dfr: float, budget: int,
     if budget < 10.0 / target_dfr:
         raise ValueError("budget too small to resolve target_dfr (need >= 10/target)")
     seed = rng.seed
+    # the fewest failures whose upper bound exceeds the target; the bound
+    # grows with the failure count, so a weight qualifies iff its trials
+    # stay below this (budget + 1: nothing disqualifies)
+    stop_at = 1 + bisect_right(range(1, budget + 1), target_dfr,
+                               key=lambda f: clopper_pearson(f, budget)[1])
     cache: dict[int, bool] = {}
 
     def qualifies(t: int) -> bool:
-        if t in cache:
-            return cache[t]
-        t_seed = derive_substream_seed(seed, t)
-        failures = 0
-        ok = True
-        for i in range(budget):
-            failures += _dfr_trial(params, t, cfg, substream(t_seed, i))
-            if failures and clopper_pearson(failures, budget)[1] > target_dfr:
-                ok = False
-                break
-        cache[t] = ok
-        return ok
+        if t not in cache:
+            t_seed = derive_substream_seed(seed, t)
+            cache[t] = _dfr_range(params, t, cfg, t_seed, 0, budget, stop_at) < stop_at
+        return cache[t]
 
     n = params.n
     bracket = None

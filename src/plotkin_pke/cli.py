@@ -4,7 +4,8 @@ Subcommands: keygen, encrypt, decrypt, dfr, estimate, attack-demo.
 Results go to stdout as JSON, diagnostics to stderr.  Exit codes:
 
     0  success
-    2  bad parameters, malformed files, usage errors
+    2  bad parameters, malformed or unreadable files, unwritable outputs,
+       usage errors
     3  generation gave up (no invertible block / scrambler within bounds)
     4  decryption failure (the failing stage is named on stderr)
 """
@@ -144,8 +145,6 @@ def _cmd_encrypt(args) -> int:
 def _cmd_decrypt(args) -> int:
     sk = wire.deserialize_secret(_read(args.sec))
     ct = wire.deserialize_ciphertext(_read(args.input))
-    if ct.params != sk.params:
-        raise SystemExit2("ciphertext and secret key carry different parameters")
     message = decrypt(sk, ct)
     _atomic_write(args.output, wire.pack_plaintext(message))
     _print({
@@ -311,7 +310,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit2 as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAMS
-    except (wire.WireFormatError, ValueError, KeyError, FileNotFoundError) as exc:
+    except (wire.WireFormatError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAMS
     except (GenerationError, NotInvertibleError) as exc:

@@ -52,12 +52,6 @@ def expand_block_matrix(bm: BlockMatrix) -> np.ndarray:
     return np.concatenate(rows, axis=0)
 
 
-def expand_grid(grid) -> np.ndarray:
-    """Expand a 2-D sequence of CirculantBlock into one dense matrix."""
-    rows = [np.concatenate([expand_block(b) for b in row], axis=1) for row in grid]
-    return np.concatenate(rows, axis=0)
-
-
 def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     prod = a.astype(np.int64) @ b.astype(np.int64)
     return (prod & 1).astype(np.uint8)

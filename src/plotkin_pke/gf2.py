@@ -131,8 +131,8 @@ def _rot(v: int, shift: int, r: int) -> int:
     return ((v << shift) | (v >> (r - shift))) & mask
 
 
-def _mul_mod(a: int, b: int, r: int) -> int:
-    """a(x) * b(x) mod (x^r - 1), schoolbook over the set bits.
+def _poly_mul(a: int, b: int) -> int:
+    """a(x) * b(x) in GF(2)[x], schoolbook over the set bits.
 
     Iterates the lighter operand, which doubles as the sparse-operand path:
     a weight-w row costs w shift-xors regardless of the other row's density.
@@ -144,8 +144,13 @@ def _mul_mod(a: int, b: int, r: int) -> int:
         low = a & -a
         acc ^= b << (low.bit_length() - 1)
         a ^= low
-    mask = (1 << r) - 1
-    return (acc & mask) ^ (acc >> r)
+    return acc
+
+
+def _mul_mod(a: int, b: int, r: int) -> int:
+    """a(x) * b(x) mod (x^r - 1): the plain product, folded once at x^r."""
+    acc = _poly_mul(a, b)
+    return (acc & ((1 << r) - 1)) ^ (acc >> r)
 
 
 def _transpose_row(v: int, r: int) -> int:
@@ -166,17 +171,6 @@ def _poly_divmod(a: int, b: int) -> tuple[int, int]:
         a ^= b << shift
         q |= 1 << shift
     return q, a
-
-
-def _poly_mul(a: int, b: int) -> int:
-    acc = 0
-    if a.bit_count() > b.bit_count():
-        a, b = b, a
-    while a:
-        low = a & -a
-        acc ^= b << (low.bit_length() - 1)
-        a ^= low
-    return acc
 
 
 def _poly_gcd(a: int, b: int) -> int:

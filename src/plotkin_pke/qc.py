@@ -22,6 +22,8 @@ from .gf2 import (
     BitVector,
     CirculantBlock,
     NotInvertibleError,
+    _mul_mod,
+    _transpose_row,
     sample_fixed_weight,
     vec_mul,
 )
@@ -154,12 +156,27 @@ def encode(gen: QcGenerator, message: BitVector) -> BitVector:
     return message.concat(parity)
 
 
+def _word_blocks(h: QcParityCheck, word: BitVector) -> list[int]:
+    """``word`` split into its n0 packed length-r blocks."""
+    if word.length != h.params.n:
+        raise ValueError("word length differs from code length")
+    return [c.value for c in word.chunks(h.params.r)]
+
+
+def _transposed_rows(h: QcParityCheck) -> list[int]:
+    """First row of each transposed block H_i^T, packed."""
+    return [_transpose_row(b.row0.value, h.params.r) for b in h.blocks]
+
+
+def _syndrome_int(y_blocks: list[int], h_t_rows: list[int], r: int) -> int:
+    """H y^T on packed ints: sum of y_i(x) times the transposed row of H_i."""
+    s = 0
+    for yb, ht in zip(y_blocks, h_t_rows):
+        s ^= _mul_mod(yb, ht, r)
+    return s
+
+
 def syndrome(h: QcParityCheck, word: BitVector) -> BitVector:
     """H x^T as a length-r vector; zero exactly on codewords."""
-    params = h.params
-    if word.length != params.n:
-        raise ValueError("word length differs from code length")
-    acc = BitVector(params.r, 0)
-    for part, block in zip(word.chunks(params.r), h.blocks):
-        acc = acc ^ vec_mul(part, block.transpose())
-    return acc
+    r = h.params.r
+    return BitVector(r, _syndrome_int(_word_blocks(h, word), _transposed_rows(h), r))

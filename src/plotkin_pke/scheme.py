@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .bitflip import DecoderConfig, backflip_config, classic_bf_config, decode
 from .gf2 import (
@@ -60,7 +60,9 @@ class SchemeParams:
     w2: int
     t1: int
     t2: int
-    security_level: int = 0
+    # a label the wire header does not carry; parameter sets that differ
+    # only here describe the same codes, so it takes no part in equality
+    security_level: int = field(default=0, compare=False)
 
     def __post_init__(self):
         # Flavor-specific validation happens in the QcParams constructors.
@@ -241,8 +243,11 @@ def encrypt(pk: PublicKey, message: BitVector, rng: RandomStream) -> Ciphertext:
 
 
 def decrypt(sk: SecretKey, ct: Ciphertext) -> BitVector:
-    """Two-stage decode, then unscramble.  Raises DecryptionFailure."""
+    """Two-stage decode, then unscramble.  Raises DecryptionFailure, or
+    ValueError when the ciphertext carries other parameters than the key."""
     params = sk.params
+    if ct.params != params:
+        raise ValueError("ciphertext and secret key carry different parameters")
     out1 = decode(sk.h1, ct.c1, mdpc_decoder_config(params))
     if not out1.success:
         raise DecryptionFailure("mdpc")

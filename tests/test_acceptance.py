@@ -18,6 +18,7 @@ from plotkin_pke.attack import (
 from plotkin_pke.bitflip import backflip_config, decode, estimate_dfr
 from plotkin_pke.gf2 import (
     BitVector,
+    BlockMatrix,
     CirculantBlock,
     NotInvertibleError,
     sample_fixed_weight,
@@ -218,7 +219,7 @@ def test_criterion_6_packed_and_dense_arithmetic_agree():
         params = QcParams(n0, r, w, "ldpc" if rng.take_bits(1) else "mdpc")
         h = sample_parity_check(substream(b"\x16" * 32, i), params)
         gen = derive_generator(h)
-        hd = dense.expand_grid([list(h.blocks)])
+        hd = dense.expand_block_matrix(BlockMatrix((h.blocks,)))
         m = BitVector(params.k, rng.take_bits(params.k))
         cw = encode(gen, m)
         assert not dense.vec_mat_mul(dense.to_array(cw), hd.T).any()

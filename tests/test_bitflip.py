@@ -15,7 +15,7 @@ from plotkin_pke.bitflip import (
     select_t_for_dfr,
     upc_profile,
 )
-from plotkin_pke.gf2 import BitVector, sample_fixed_weight
+from plotkin_pke.gf2 import BitVector, BlockMatrix, sample_fixed_weight
 from plotkin_pke.qc import QcParams, derive_generator, encode, sample_parity_check
 from plotkin_pke.rng import RandomStream, substream
 
@@ -30,7 +30,7 @@ def _instance(make_rng, tag, params):
 
 
 def _dense_upc(h, y):
-    mat = dense.expand_grid([list(h.blocks)])  # one block row: r checks
+    mat = dense.expand_block_matrix(BlockMatrix((h.blocks,)))  # one block row: r checks
     s = dense.vec_mat_mul(dense.to_array(y), mat.T).astype(np.int64)
     return mat.T.astype(np.int64) @ s
 
@@ -208,6 +208,29 @@ def test_estimate_dfr_worker_count_invariant():
     a = estimate_dfr(TOY_LDPC, 2, classic_bf_config(), 60, RandomStream(b"\x04" * 32), workers=1)
     b = estimate_dfr(TOY_LDPC, 2, classic_bf_config(), 60, RandomStream(b"\x04" * 32), workers=2)
     assert a == b
+
+
+def _codeword_trial_failures(params, t, cfg, trials, seed):
+    # reference trial: decode codeword + e and compare codewords, where
+    # estimate_dfr decodes e alone
+    failures = 0
+    for i in range(trials):
+        stream = substream(seed, i)
+        h = sample_parity_check(stream, params)
+        gen = derive_generator(h)
+        codeword = encode(gen, BitVector(params.k, stream.take_bits(params.k)))
+        error = sample_fixed_weight(stream, params.n, t)
+        out = decode(h, codeword ^ error, cfg)
+        failures += not (out.success and out.codeword == codeword)
+    return failures
+
+
+def test_estimate_dfr_matches_codeword_trials():
+    # t=22 sits on the toy mdpc waterfall, so both outcomes occur
+    seed = b"\x2b" * 32
+    rep = estimate_dfr(TOY_MDPC, 22, backflip_config(), 40, RandomStream(seed))
+    assert 0 < rep.failures < 40
+    assert rep.failures == _codeword_trial_failures(TOY_MDPC, 22, backflip_config(), 40, seed)
 
 
 def test_dfr_report_json_fields():

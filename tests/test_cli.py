@@ -172,6 +172,32 @@ def test_missing_file_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_directory_as_secret_key_exits_2(tmp_path, capsys):
+    code, _, err = _run(capsys, [
+        "decrypt", "--sec", str(tmp_path),
+        "--in", str(tmp_path / "ct"), "--out", str(tmp_path / "x"),
+    ])
+    assert code == 2
+    assert err.startswith("error:")
+
+
+def test_directory_as_decrypt_output_exits_2(keydir, tmp_path, capsys):
+    ct = tmp_path / "ct.bin"
+    assert main([
+        "encrypt", "--pub", str(keydir / "pk.bin"),
+        "--in", str(keydir / "msg.bin"), "--out", str(ct), "--seed", SEED_B,
+    ]) == 0
+    capsys.readouterr()
+    (tmp_path / "out").mkdir()
+    code, _, err = _run(capsys, [
+        "decrypt", "--sec", str(keydir / "sk.bin"),
+        "--in", str(ct), "--out", str(tmp_path / "out"),
+    ])
+    assert code == 2
+    assert err.startswith("error:")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ct.bin", "out"]  # no temp file left
+
+
 def test_unknown_preset_rejected_by_parser(tmp_path):
     with pytest.raises(SystemExit) as info:
         main([

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from plotkin_pke import dense
-from plotkin_pke.gf2 import BitVector, sample_fixed_weight
+from plotkin_pke.gf2 import BitVector, BlockMatrix, sample_fixed_weight
 from plotkin_pke.qc import (
     QcParams,
     QcParityCheck,
@@ -55,10 +55,8 @@ def test_generator_orthogonal_to_parity(make_rng):
         params = QcParams(n0, r, w, flavor)
         h = sample_parity_check(make_rng(tag), params)
         gen = derive_generator(h)
-        g_dense = dense.expand_grid(
-            [[*row] for row in _generator_grid(gen)]
-        )
-        h_dense = dense.expand_grid([list(h.blocks)])
+        g_dense = dense.expand_block_matrix(BlockMatrix(_generator_grid(gen)))
+        h_dense = dense.expand_block_matrix(BlockMatrix((h.blocks,)))
         prod = dense.mat_mul(g_dense, h_dense.T)
         assert not prod.any()
 
@@ -75,8 +73,8 @@ def _generator_grid(gen):
     for i in range(n0 - 1):
         row = [eye if j == i else zero for j in range(n0 - 1)]
         row.append(gen.right_blocks[i])
-        rows.append(row)
-    return rows
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def test_encode_matches_dense(make_rng):
@@ -84,7 +82,7 @@ def test_encode_matches_dense(make_rng):
     params = QcParams(3, 13, 9, "ldpc")
     h = sample_parity_check(rng, params)
     gen = derive_generator(h)
-    g_dense = dense.expand_grid(_generator_grid(gen))
+    g_dense = dense.expand_block_matrix(BlockMatrix(_generator_grid(gen)))
     for _ in range(25):
         m = BitVector(params.k, rng.take_bits(params.k))
         got = dense.to_array(encode(gen, m))
@@ -105,7 +103,7 @@ def test_syndrome_matches_dense_and_vanishes_on_codewords(make_rng):
     params = QcParams(2, 17, 6, "ldpc")
     h = sample_parity_check(rng, params)
     gen = derive_generator(h)
-    h_dense = dense.expand_grid([list(h.blocks)])
+    h_dense = dense.expand_block_matrix(BlockMatrix((h.blocks,)))
     for _ in range(25):
         y = BitVector(params.n, rng.take_bits(params.n))
         got = dense.to_array(syndrome(h, y))

@@ -1,9 +1,11 @@
 """Key generation, the two-stage encrypt/decrypt pipeline, and the mask."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from plotkin_pke import dense, preset
+from plotkin_pke import dense, preset, wire
 from plotkin_pke.gf2 import BitVector, sample_fixed_weight
 from plotkin_pke.rng import RandomStream
 from plotkin_pke.scheme import (
@@ -200,6 +202,36 @@ def test_tampered_c2_fails_at_ldpc_stage(make_rng):
     with pytest.raises(DecryptionFailure) as info:
         decrypt(sk, bad)
     assert info.value.stage == "ldpc"
+
+
+def test_ciphertext_for_other_params_rejected(make_rng):
+    rng = make_rng(0x3C)
+    pk, sk = keygen(TOY, rng)
+    m = BitVector(TOY.plaintext_bits, rng.take_bits(TOY.plaintext_bits))
+    ct = encrypt(pk, m, rng)
+    assert decrypt(sk, ct) == m
+    # the matching key under a header of the same shape (it would decrypt
+    # correctly without the check), and a key of another shape altogether
+    relabelled = dataclasses.replace(sk, params=dataclasses.replace(TOY, t1=TOY.t1 - 1))
+    other = keygen(DESK, rng)[1]
+    for key in (relabelled, other):
+        with pytest.raises(ValueError, match="different parameters"):
+            decrypt(key, ct)
+
+
+def test_wire_loaded_ciphertext_and_key_decrypt_at_labelled_params(make_rng):
+    # the wire header carries no security level, so params read back from
+    # bytes must still match a key made from a labelled parameter set
+    labelled = dataclasses.replace(TOY, security_level=128)
+    rng = make_rng(0x3D)
+    pk, sk = keygen(labelled, rng)
+    m = BitVector(TOY.plaintext_bits, rng.take_bits(TOY.plaintext_bits))
+    ct = encrypt(pk, m, rng)
+    wire_ct = wire.deserialize_ciphertext(wire.serialize_ciphertext(ct))
+    wire_sk = wire.deserialize_secret(wire.serialize_secret(sk))
+    assert wire_ct.params.security_level == 0
+    assert decrypt(sk, wire_ct) == m
+    assert decrypt(wire_sk, ct) == m
 
 
 def test_s_scrambling_transparency(make_rng):

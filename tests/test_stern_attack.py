@@ -13,7 +13,7 @@ from plotkin_pke.attack import (
     weak_key_attack_demo,
 )
 from plotkin_pke.bitflip import decode
-from plotkin_pke.gf2 import BitVector, sample_fixed_weight
+from plotkin_pke.gf2 import BitVector, BlockMatrix, sample_fixed_weight
 from plotkin_pke.rng import RandomStream
 from plotkin_pke.scheme import SchemeParams, encrypt, keygen, ldpc_decoder_config
 from plotkin_pke.stern import stern_search
@@ -98,7 +98,7 @@ def test_recover_dual_structure_quasi_cyclic(make_rng):
     assert rec.iterations >= 1
     # all r blockwise rotations annihilate the public generator, densely
     gen_sys = systematic_public_generator(pk, coordinate=2)
-    h_dense = dense.expand_grid([list(rec.parity.blocks)])
+    h_dense = dense.expand_block_matrix(BlockMatrix((rec.parity.blocks,)))
     assert not dense.mat_mul(gen_sys, h_dense.T).any()
 
 
