@@ -99,39 +99,36 @@ class DecodeOutcome:
     error_vector: BitVector | None
 
 
-def _unpack_bits(value: int, r: int) -> np.ndarray:
-    raw = np.frombuffer(value.to_bytes((r + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, bitorder="little")[:r]
+def _upc(s: int, supports: list[tuple[int, ...]], r: int) -> np.ndarray:
+    """upc count of every bit from syndrome s and the row supports of H.
 
-
-def _decoder_setup(h: QcParityCheck) -> tuple[list[int], list[np.ndarray]]:
-    """Transposed H rows and upc gather indices, both fixed by H alone."""
-    r = h.params.r
-    supports = [np.array(b.row0.support(), dtype=np.intp) for b in h.blocks]
-    # upc of bit j in block i sums s over the support of column j, i.e.
-    # positions (j - u) mod r for u in the block's row support
-    gather = [(np.arange(r)[None, :] - supp[:, None]) % r for supp in supports]
-    return _transposed_rows(h), gather
-
-
-def _upc_from_syndrome(s: int, gather: list[np.ndarray], r: int) -> np.ndarray:
-    s_arr = _unpack_bits(s, r).astype(np.int32)
-    return np.concatenate([s_arr[g].sum(axis=0, dtype=np.int32) for g in gather])
+    Bit j of block i sits in the checks (j - u) mod r, u in supp(h_i), so
+    its count adds one slice of the doubled syndrome s2 = [s | s] per u,
+    where s2[r - u + j] == s[(j - u) mod r].  An empty block counts 0.
+    """
+    raw = (s | (s << r)).to_bytes((2 * r + 7) // 8, "little")
+    s2 = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+    s2 = s2[:2 * r].astype(np.int32)
+    upc = np.zeros((len(supports), r), dtype=np.int32)
+    for acc, supp in zip(upc, supports):
+        for u in supp:
+            acc += s2[r - u:2 * r - u]
+    return upc.ravel()
 
 
 def upc_profile(h: QcParityCheck, word: BitVector) -> np.ndarray:
     """Unsatisfied-check count for every bit position, as an int array."""
     r = h.params.r
-    y_blocks = _word_blocks(h, word)
-    h_t_rows, gather = _decoder_setup(h)
-    return _upc_from_syndrome(_syndrome_int(y_blocks, h_t_rows, r), gather, r)
+    s = _syndrome_int(_word_blocks(h, word), _transposed_rows(h), r)
+    return _upc(s, [b.row0.support() for b in h.blocks], r)
 
 
 def decode(h: QcParityCheck, word: BitVector, cfg: DecoderConfig) -> DecodeOutcome:
     """Deterministic bit-flipping decode of ``word`` against parity check ``h``."""
     r, n = h.params.r, h.params.n
     y_blocks = _word_blocks(h, word)
-    h_t_rows, gather = _decoder_setup(h)
+    h_t_rows = _transposed_rows(h)
+    supports = [b.row0.support() for b in h.blocks]
     col_weights = np.repeat(h.block_weights, r).astype(np.int32)
     majority = (col_weights + 2) // 2  # ceil((colWeight + 1) / 2)
 
@@ -163,7 +160,7 @@ def decode(h: QcParityCheck, word: BitVector, cfg: DecoderConfig) -> DecodeOutco
     for iteration in range(1, cfg.max_iters + 1):
         has_pending = backflip and bool(ttl.any())
         if has_pending:
-            upc = _upc_from_syndrome(s, gather, r)
+            upc = _upc(s, supports, r)
             active = ttl > 0
             ttl[active] -= 1
             expired = active & (ttl == 0)
@@ -174,7 +171,7 @@ def decode(h: QcParityCheck, word: BitVector, cfg: DecoderConfig) -> DecodeOutco
                     return finish(True, iteration)
             has_pending = bool(ttl.any())
 
-        upc = _upc_from_syndrome(s, gather, r)
+        upc = _upc(s, supports, r)
         if cfg.threshold == "majority":
             thresholds = majority
         elif cfg.threshold == "fixed":

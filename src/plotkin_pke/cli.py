@@ -7,7 +7,8 @@ Results go to stdout as JSON, diagnostics to stderr.  Exit codes:
     2  bad parameters, malformed or unreadable files, unwritable outputs,
        usage errors
     3  generation gave up (no invertible block / scrambler within bounds)
-    4  decryption failure (the failing stage is named on stderr)
+    4  decryption failure: the decoder gave up, or the recovered error has
+       the wrong weight (the failing stage and the reason go to stderr)
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import tempfile
 from . import wire
 from .attack import recover_dual_structure, weak_key_attack_demo
 from .bitflip import estimate_dfr, select_t_for_dfr
-from .gf2 import BitVector, NotInvertibleError
+from .gf2 import BitVector
 from .isd import isd_cost, keyrec_workfactor, msgrec_workfactor
 from .presets import PRESETS, preset
 from .qc import GenerationError
@@ -310,14 +311,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit2 as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAMS
-    except (wire.WireFormatError, ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAMS
-    except (GenerationError, NotInvertibleError) as exc:
+    except GenerationError as exc:
         print(f"generation failed: {exc}", file=sys.stderr)
         return EXIT_GENERATION
     except DecryptionFailure as exc:
-        print(f"decryption failed at stage: {exc.stage}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_DECRYPT
 
 

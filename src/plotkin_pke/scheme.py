@@ -28,7 +28,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 
-from .bitflip import DecoderConfig, backflip_config, classic_bf_config, decode
+from .bitflip import DecodeOutcome, DecoderConfig, backflip_config, classic_bf_config, decode
 from .gf2 import (
     BitVector,
     BlockMatrix,
@@ -141,10 +141,10 @@ class Ciphertext:
 
 
 class DecryptionFailure(Exception):
-    """Decoding failed; ``stage`` is "mdpc" or "ldpc"."""
+    """Decoding failed; ``stage`` is "mdpc" or "ldpc", the message says why."""
 
-    def __init__(self, stage: str):
-        super().__init__(f"decoding failed at the {stage} stage")
+    def __init__(self, stage: str, reason: str = "the decoder gave up"):
+        super().__init__(f"decoding failed at the {stage} stage: {reason}")
         self.stage = stage
 
 
@@ -242,6 +242,16 @@ def encrypt(pk: PublicKey, message: BitVector, rng: RandomStream) -> Ciphertext:
     return encrypt_with(pk, message, z1, z2)
 
 
+def _check_stage(outcome: DecodeOutcome, t: int, stage: str) -> None:
+    """Reject a stage whose decoder gave up or whose error is not weight t:
+    encrypt only ever adds errors of exactly the preset weights."""
+    if not outcome.success:
+        raise DecryptionFailure(stage)
+    weight = outcome.error_vector.weight
+    if weight != t:
+        raise DecryptionFailure(stage, f"the recovered error has weight {weight}, not {t}")
+
+
 def decrypt(sk: SecretKey, ct: Ciphertext) -> BitVector:
     """Two-stage decode, then unscramble.  Raises DecryptionFailure, or
     ValueError when the ciphertext carries other parameters than the key."""
@@ -249,13 +259,11 @@ def decrypt(sk: SecretKey, ct: Ciphertext) -> BitVector:
     if ct.params != params:
         raise ValueError("ciphertext and secret key carry different parameters")
     out1 = decode(sk.h1, ct.c1, mdpc_decoder_config(params))
-    if not out1.success:
-        raise DecryptionFailure("mdpc")
+    _check_stage(out1, params.t1, "mdpc")
     z1 = out1.error_vector
     inner = ct.c2 ^ out1.codeword ^ hash_mask(z1, params.n)
     out2 = decode(sk.h2, inner, ldpc_decoder_config(params))
-    if not out2.success:
-        raise DecryptionFailure("ldpc")
+    _check_stage(out2, params.t2, "ldpc")
     # systematic codewords carry m S in their first k bits
     m1 = sk.s_inv.vec_mul(out1.codeword.slice(0, params.k))
     m2 = sk.s_inv.vec_mul(out2.codeword.slice(0, params.k))

@@ -15,8 +15,14 @@ from plotkin_pke.bitflip import (
     select_t_for_dfr,
     upc_profile,
 )
-from plotkin_pke.gf2 import BitVector, BlockMatrix, sample_fixed_weight
-from plotkin_pke.qc import QcParams, derive_generator, encode, sample_parity_check
+from plotkin_pke.gf2 import BitVector, BlockMatrix, CirculantBlock, sample_fixed_weight
+from plotkin_pke.qc import (
+    QcParams,
+    QcParityCheck,
+    derive_generator,
+    encode,
+    sample_parity_check,
+)
 from plotkin_pke.rng import RandomStream, substream
 
 TOY_MDPC = QcParams(2, 523, 30, "mdpc")
@@ -56,10 +62,18 @@ def test_upc_single_error_hits_column_weight(make_rng):
 
 
 def test_upc_matches_dense_recomputation(make_rng):
-    rng, h, _ = _instance(make_rng, 3, QcParams(2, 13, 6, "mdpc"))
-    for _ in range(20):
-        y = BitVector(26, rng.take_bits(26))
-        assert upc_profile(h, y).tolist() == _dense_upc(h, y).tolist()
+    # the n0 = 3 ldpc supports reach the u = 0 and u = r - 1 slices of the
+    # kernel; its copy with an empty first block is a check the attack
+    # lab's rotations_parity_check can give
+    rng, mdpc, _ = _instance(make_rng, 3, QcParams(2, 13, 6, "mdpc"))
+    _, ldpc, _ = _instance(make_rng, 53, QcParams(3, 31, 9, "ldpc"))
+    assert {0, 30} <= {u for b in ldpc.blocks for u in b.row0.support()}
+    empty = CirculantBlock(31, BitVector(31, 0))
+    holed = QcParityCheck(ldpc.params, (empty,) + ldpc.blocks[1:])
+    for h in (mdpc, ldpc, holed):
+        for _ in range(20):
+            y = BitVector(h.params.n, rng.take_bits(h.params.n))
+            assert upc_profile(h, y).tolist() == _dense_upc(h, y).tolist()
 
 
 # --- decode ----------------------------------------------------------------

@@ -181,27 +181,32 @@ def test_roundtrip_zero_noise_parameters(make_rng):
 
 
 def test_tampered_c1_fails_at_mdpc_stage(make_rng):
-    rng = make_rng(0x39)
-    pk, sk = keygen(TOY, rng)
-    extra = TOY.t1 + -(-TOY.w1 // 2) + 100  # far past the decoding radius
-    for _ in range(5):
-        m = BitVector(TOY.plaintext_bits, rng.take_bits(TOY.plaintext_bits))
-        ct = encrypt(pk, m, rng)
-        bad = Ciphertext(TOY, ct.c1 ^ sample_fixed_weight(rng, TOY.n, extra), ct.c2)
-        with pytest.raises(DecryptionFailure) as info:
-            decrypt(sk, bad)
-        assert info.value.stage == "mdpc"
+    # far past the decoding radius, and one bit, which the decoder turns
+    # into an error of weight t1 + 1
+    for extra in (TOY.t1 + -(-TOY.w1 // 2) + 100, 1):
+        rng = make_rng(0x39)
+        pk, sk = keygen(TOY, rng)
+        for _ in range(5):
+            m = BitVector(TOY.plaintext_bits, rng.take_bits(TOY.plaintext_bits))
+            ct = encrypt(pk, m, rng)
+            bad = Ciphertext(TOY, ct.c1 ^ sample_fixed_weight(rng, TOY.n, extra), ct.c2)
+            with pytest.raises(DecryptionFailure) as info:
+                decrypt(sk, bad)
+            assert info.value.stage == "mdpc"
 
 
 def test_tampered_c2_fails_at_ldpc_stage(make_rng):
-    rng = make_rng(0x3A)
-    pk, sk = keygen(TOY, rng)
-    m = BitVector(TOY.plaintext_bits, rng.take_bits(TOY.plaintext_bits))
-    ct = encrypt(pk, m, rng)
-    bad = Ciphertext(TOY, ct.c1, ct.c2 ^ sample_fixed_weight(rng, TOY.n, 200))
-    with pytest.raises(DecryptionFailure) as info:
-        decrypt(sk, bad)
-    assert info.value.stage == "ldpc"
+    # one flipped bit decodes into an error of weight t2 + 1 that carries
+    # the original plaintext
+    for flips in (200, 1):
+        rng = make_rng(0x3A)
+        pk, sk = keygen(TOY, rng)
+        m = BitVector(TOY.plaintext_bits, rng.take_bits(TOY.plaintext_bits))
+        ct = encrypt(pk, m, rng)
+        bad = Ciphertext(TOY, ct.c1, ct.c2 ^ sample_fixed_weight(rng, TOY.n, flips))
+        with pytest.raises(DecryptionFailure) as info:
+            decrypt(sk, bad)
+        assert info.value.stage == "ldpc"
 
 
 def test_ciphertext_for_other_params_rejected(make_rng):
