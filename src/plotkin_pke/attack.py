@@ -26,7 +26,7 @@ import json
 from dataclasses import dataclass
 
 from . import dense
-from .gf2 import BitVector, CirculantBlock, _poly_gcd
+from .gf2 import BitVector, CirculantBlock, _xgcd
 from .qc import QcParams, QcParityCheck, syndrome
 from .bitflip import decode
 from .rng import RandomStream
@@ -104,7 +104,7 @@ def rotations_parity_check(pk_params, row: BitVector) -> QcParityCheck:
 def _rotations_complete(parity: QcParityCheck) -> bool:
     g = (1 << parity.params.r) | 1  # x^r - 1
     for block in parity.blocks:
-        g = _poly_gcd(g, block.row0.value)
+        g = _xgcd(block.row0.value, g)[0]
     return g == 1
 
 

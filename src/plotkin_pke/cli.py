@@ -112,6 +112,7 @@ def _print(obj: dict) -> None:
 
 def _cmd_keygen(args) -> int:
     params = _params_from_args(args)
+    wire.header_bytes(params)  # rejects what the header cannot carry, before keygen
     rng = RandomStream(_parse_seed(args.seed))
     pk, sk = keygen(params, rng)
     _atomic_write(args.pub, wire.serialize_public(pk))

@@ -9,14 +9,15 @@ arithmetic modulo x^r - 1.  This module keeps rows as plain Python ints
 
 * ``BitVector``       -- fixed-length immutable bit vectors,
 * ``CirculantBlock``  -- one circulant, with +, *, transpose, inverse,
-* ``BlockMatrix``     -- matrices of circulant blocks (used for the secret
-                         scrambler and for generator/parity block layouts),
+* ``BlockMatrix``     -- matrices of circulant blocks (used for the scrambler
+                         and for generator/parity block layouts),
 * ``sample_fixed_weight`` -- uniform fixed-weight vectors from a RandomStream.
 
 Useful facts used throughout: transposing a circulant reverses the index of
 every nonzero coefficient (j -> -j mod r); a circulant is invertible iff
-gcd(a(x), x^r - 1) = 1, which requires odd row weight; and a row vector
-times a circulant is again a polynomial product.
+gcd(a(x), x^r - 1) = 1, which requires odd row weight, and Euclid run one
+leading term per step (``_xgcd``) finds the inverse; and a row vector times
+a circulant is again a polynomial product.
 """
 
 from __future__ import annotations
@@ -131,8 +132,8 @@ def _rot(v: int, shift: int, r: int) -> int:
     return ((v << shift) | (v >> (r - shift))) & mask
 
 
-def _poly_mul(a: int, b: int) -> int:
-    """a(x) * b(x) in GF(2)[x], schoolbook over the set bits.
+def _mul_mod(a: int, b: int, r: int) -> int:
+    """a(x) * b(x) mod (x^r - 1), schoolbook over the set bits, folded once.
 
     Iterates the lighter operand, which doubles as the sparse-operand path:
     a weight-w row costs w shift-xors regardless of the other row's density.
@@ -144,12 +145,6 @@ def _poly_mul(a: int, b: int) -> int:
         low = a & -a
         acc ^= b << (low.bit_length() - 1)
         a ^= low
-    return acc
-
-
-def _mul_mod(a: int, b: int, r: int) -> int:
-    """a(x) * b(x) mod (x^r - 1): the plain product, folded once at x^r."""
-    acc = _poly_mul(a, b)
     return (acc & ((1 << r) - 1)) ^ (acc >> r)
 
 
@@ -161,42 +156,35 @@ def _transpose_row(v: int, r: int) -> int:
     return ((rev << 1) | (rev >> (r - 1))) & ((1 << r) - 1)  # then j -> j + 1
 
 
-def _poly_divmod(a: int, b: int) -> tuple[int, int]:
-    if b == 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = 0
-    db = b.bit_length()
-    while a.bit_length() >= db:
-        shift = a.bit_length() - db
-        a ^= b << shift
-        q |= 1 << shift
-    return q, a
+def _xgcd(a: int, b: int) -> tuple[int, int]:
+    """(g, u) with g = gcd(a(x), b(x)) and u a = g mod b, for b != 0.
 
-
-def _poly_gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, _poly_divmod(a, b)[1]
-    return a
+    Euclid one leading term per step: the lower-degree remainder, shifted
+    by the degree gap, is XORed into the higher one, and likewise for the
+    cofactors, so no quotient is built.  The pair swaps exactly when a long
+    division would end, so u is the classical cofactor, of degree below
+    deg b - deg g when deg a < deg b.
+    """
+    r0, u0, r1, u1 = a, 1, b, 0  # invariant: r_i = u_i a mod b
+    while r0:
+        if r0.bit_length() < r1.bit_length():
+            r0, u0, r1, u1 = r1, u1, r0, u0
+        shift = r0.bit_length() - r1.bit_length()
+        r0 ^= r1 << shift
+        u0 ^= u1 << shift
+    return r1, u1
 
 
 def _inverse_mod(a: int, r: int) -> int:
-    """Inverse of a(x) modulo x^r - 1 by the extended Euclidean algorithm.
+    """Inverse of a(x) modulo x^r - 1: the ``_xgcd`` cofactor, of degree < r.
 
-    Raises NotInvertibleError when gcd(a, x^r - 1) != 1; even-weight rows
-    always fail because x + 1 divides both.
+    Raises NotInvertibleError when gcd(a, x^r - 1) != 1, as for a = 0 and
+    for every even-weight row, which x + 1 divides.
     """
-    modulus = (1 << r) | 1  # x^r + 1 == x^r - 1 over GF(2)
-    if a == 0:
-        raise NotInvertibleError("zero row has no inverse")
-    r0, r1 = modulus, a
-    t0, t1 = 0, 1
-    while r1:
-        q, rem = _poly_divmod(r0, r1)
-        r0, r1 = r1, rem
-        t0, t1 = t1, t0 ^ _poly_mul(q, t1)
-    if r0 != 1:
+    g, u = _xgcd(a, (1 << r) | 1)  # x^r + 1 == x^r - 1 over GF(2)
+    if g != 1:
         raise NotInvertibleError("row polynomial shares a factor with x^r - 1")
-    return _poly_divmod(t0, modulus)[1]
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +358,9 @@ class BlockMatrix:
         Pivots must themselves be invertible circulants; rows are swapped to
         find one, and the matrix is rejected if no candidate pivot in the
         column inverts.  That is slightly stricter than GF(2) invertibility
-        of the expanded matrix, which callers handle by resampling.
+        of the expanded matrix, which callers handle by resampling.  Only
+        ``work`` columns right of the pivot are updated, as no later step
+        reads the others: a 1 x 1 matrix costs one inversion, no dense product.
         """
         if self.block_rows != self.block_cols:
             raise NotInvertibleError("only square block matrices invert")
@@ -390,13 +380,14 @@ class BlockMatrix:
                 break
             if pivot_inv is None:
                 raise NotInvertibleError("no invertible pivot block in column")
-            work[col] = [pivot_inv * b for b in work[col]]
+            right = [pivot_inv * b for b in work[col][col + 1 :]]
+            work[col][col + 1 :] = right
             out[col] = [pivot_inv * b for b in out[col]]
             for i in range(size):
-                if i == col or work[i][col].is_zero():
-                    continue
                 f = work[i][col]
-                work[i] = [a + f * b for a, b in zip(work[i], work[col])]
+                if i == col or f.is_zero():
+                    continue
+                work[i][col + 1 :] = [a + f * b for a, b in zip(work[i][col + 1 :], right)]
                 out[i] = [a + f * b for a, b in zip(out[i], out[col])]
         return BlockMatrix(tuple(tuple(row) for row in out))
 

@@ -7,7 +7,10 @@ and S an invertible k x k block scrambler, the published generator is
     G' = [ S G1   S G1 ]
          [ 0      S G2 ]
 
-stored as circulant first rows only.  Encryption of m = (m1 | m2) with
+stored as circulant first rows only.  S is public: G1 and G2 are
+systematic, so S is verbatim the left block of both S G1 and S G2, a
+mixing map that keeps the systematic part from showing m1; the secret key
+keeps S only to derive S^-1.  Encryption of m = (m1 | m2) with
 fixed-weight noise (z1, z2) produces
 
     c1 = m1 S G1 + z1

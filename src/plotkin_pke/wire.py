@@ -77,10 +77,14 @@ def _unpack_rows(data: bytes, r: int, count: int) -> list[BitVector]:
     return [BitVector(r, (acc >> (i * r)) & mask) for i in range(count)]
 
 
-def _header_bytes(params: SchemeParams) -> bytes:
-    return _HEADER.pack(
-        MAGIC, VERSION, params.n0, params.r, params.w1, params.w2, params.t1, params.t2
-    )
+def header_bytes(params: SchemeParams) -> bytes:
+    """The file header for ``params``; WireFormatError if a field overflows."""
+    try:
+        return _HEADER.pack(
+            MAGIC, VERSION, params.n0, params.r, params.w1, params.w2, params.t1, params.t2
+        )
+    except struct.error as exc:
+        raise WireFormatError(f"parameters do not fit the file header: {exc}") from exc
 
 
 def parse_header(data: bytes) -> tuple[SchemeParams, bytes]:
@@ -114,7 +118,7 @@ def _grid_from_rows(rows: list[BitVector], r: int, nrows: int, ncols: int) -> Bl
 
 
 def serialize_public(pk: PublicKey) -> bytes:
-    return _header_bytes(pk.params) + _pack_rows(
+    return header_bytes(pk.params) + _pack_rows(
         _grid_rows(pk.sg1) + _grid_rows(pk.sg2)
     )
 
@@ -137,7 +141,7 @@ def serialize_secret(sk: SecretKey) -> bytes:
         + [b.row0 for b in sk.h2.blocks]
         + _grid_rows(sk.s)
     )
-    return _header_bytes(sk.params) + _pack_rows(rows)
+    return header_bytes(sk.params) + _pack_rows(rows)
 
 
 def deserialize_secret(data: bytes) -> SecretKey:
@@ -162,7 +166,7 @@ def deserialize_secret(data: bytes) -> SecretKey:
 
 
 def serialize_ciphertext(ct: Ciphertext) -> bytes:
-    return _header_bytes(ct.params) + _pack_rows([ct.c1, ct.c2])
+    return header_bytes(ct.params) + _pack_rows([ct.c1, ct.c2])
 
 
 def deserialize_ciphertext(data: bytes) -> Ciphertext:

@@ -1,9 +1,13 @@
 """End-to-end CLI behavior: files, JSON output, exit codes."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from plotkin_pke import cli
 from plotkin_pke.cli import main
 
 SEED_A = "11" * 32
@@ -101,6 +105,22 @@ def test_even_r_exits_2_citing_oddness(tmp_path, capsys):
     ])
     assert code == 2
     assert "odd" in err
+
+
+def test_params_beyond_header_widths_exit_2_before_keygen(tmp_path, capsys, monkeypatch):
+    # t1 = 70000 does not fit the header's 2-byte field
+    def no_keygen(*args):
+        pytest.fail("keygen ran for parameters the wire header cannot carry")
+
+    monkeypatch.setattr(cli, "keygen", no_keygen)
+    code, _, err = _run(capsys, [
+        "keygen", "--r", "40597", "--w1", "274", "--w2", "15",
+        "--t1", "70000", "--t2", "1",
+        "--pub", str(tmp_path / "pk"), "--sec", str(tmp_path / "sk"), "--seed", SEED_A,
+    ])
+    assert code == 2
+    assert err.startswith("error:")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_preset_and_explicit_params_conflict(tmp_path, capsys):
@@ -260,3 +280,45 @@ def test_attack_demo_json(capsys):
     assert record["anyPlaintextRecovered"] is False
     for sample in record["samples"]:
         assert sample["attackSucceeded"] is False
+
+
+@pytest.fixture(scope="module")
+def desk_files(tmp_path_factory):
+    """Valid r=13 key pair, plaintext and ciphertext, as bytes."""
+    d = tmp_path_factory.mktemp("desk")
+    assert main([
+        "keygen", "--r", "13", "--w1", "5", "--w2", "3", "--t1", "1", "--t2", "1",
+        "--pub", str(d / "pk"), "--sec", str(d / "sk"), "--seed", SEED_A,
+    ]) == 0
+    (d / "msg").write_bytes(bytes([0x5A, 0xC3, 0x0F, 0x02]))  # 26 plaintext bits
+    assert main([
+        "encrypt", "--pub", str(d / "pk"), "--in", str(d / "msg"),
+        "--out", str(d / "ct"), "--seed", SEED_B,
+    ]) == 0
+    return {name: (d / name).read_bytes() for name in ("pk", "sk", "msg", "ct")}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_mutated_files_keep_exit_code_contract(desk_files, data):
+    name = data.draw(st.sampled_from(sorted(desk_files)))
+    blob = bytearray(desk_files[name])
+    kind = data.draw(st.sampled_from(("overwrite", "truncate", "append")))
+    if kind == "overwrite":
+        for _ in range(data.draw(st.integers(1, 4))):
+            blob[data.draw(st.integers(0, len(blob) - 1))] = data.draw(st.integers(0, 255))
+    elif kind == "truncate":
+        del blob[data.draw(st.integers(0, len(blob) - 1)):]
+    else:
+        blob += data.draw(st.binary(min_size=1, max_size=8))
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        for other, content in desk_files.items():
+            (d / other).write_bytes(bytes(blob) if other == name else content)
+        for argv in (
+            ["encrypt", "--pub", str(d / "pk"), "--in", str(d / "msg"),
+             "--out", str(d / "ct2"), "--seed", SEED_B],
+            ["decrypt", "--sec", str(d / "sk"), "--in", str(d / "ct"),
+             "--out", str(d / "back")],
+        ):
+            assert main(argv) in (0, 2, 4)

@@ -137,6 +137,20 @@ def test_block_inverse_round_trip(rng):
         assert block * inv == CirculantBlock.identity(r)
         dense_inv = dense.inverse(dense.expand_block(block))
         assert np.array_equal(dense.expand_block(inv), dense_inv)
+    # composite r: x^r - 1 has odd-weight factors of low degree, so some
+    # random odd-weight rows do not invert either
+    for r in (9, 15, 21):
+        odd_singular = 0
+        for _ in range(40):
+            block = random_block(rng, r)
+            mat = dense.expand_block(block)
+            if dense.rank(mat) < r:
+                with pytest.raises(NotInvertibleError):
+                    block.inverse()
+                odd_singular += block.weight % 2
+            else:
+                assert np.array_equal(dense.expand_block(block.inverse()), dense.inverse(mat))
+        assert odd_singular > 0
 
 
 def test_even_weight_never_invertible(rng):
@@ -212,6 +226,23 @@ def test_blockmatrix_inverse_round_trip(rng):
     found = 0
     while found < 10:
         m = random_grid(rng, 2, 2, r)
+        try:
+            inv = m.inverse()
+        except NotInvertibleError:
+            continue
+        found += 1
+        assert m @ inv == eye
+        assert inv @ m == eye
+        assert np.array_equal(
+            dense.expand_block_matrix(inv), dense.inverse(dense.expand_block_matrix(m))
+        )
+    # an even-weight block [0][0] never inverts, so column 0 must swap rows
+    eye = BlockMatrix.identity(3, r)
+    found = 0
+    while found < 3:
+        m = random_grid(rng, 3, 3, r)
+        even = CirculantBlock(r, sample_fixed_weight(rng, r, 4))
+        m = BlockMatrix(((even,) + m.blocks[0][1:],) + m.blocks[1:])
         try:
             inv = m.inverse()
         except NotInvertibleError:

@@ -7,6 +7,7 @@ import pytest
 
 from plotkin_pke import dense
 from plotkin_pke.attack import (
+    _rotations_complete,
     recover_dual_structure,
     rotations_parity_check,
     systematic_public_generator,
@@ -100,6 +101,23 @@ def test_recover_dual_structure_quasi_cyclic(make_rng):
     gen_sys = systematic_public_generator(pk, coordinate=2)
     h_dense = dense.expand_block_matrix(BlockMatrix((rec.parity.blocks,)))
     assert not dense.mat_mul(gen_sys, h_dense.T).any()
+    assert dense.rank(h_dense) == LAB.r
+
+
+def test_rotations_complete_matches_dense_rank(make_rng):
+    # blocks of even weight share the factor x + 1 with x^r - 1, so their
+    # rotations span at most r - 1 dimensions
+    rng = make_rng(0x58)
+    for weights in ((2, 4), (4, 2), (0, 6), (3, 3), (1, 5)):
+        row = sample_fixed_weight(rng, LAB.r, weights[0]).concat(
+            sample_fixed_weight(rng, LAB.r, weights[1])
+        )
+        parity = rotations_parity_check(LAB, row)
+        complete = _rotations_complete(parity)
+        rank = dense.rank(dense.expand_block_matrix(BlockMatrix((parity.blocks,))))
+        assert complete == (rank == LAB.r)
+        if all(w % 2 == 0 for w in weights):
+            assert not complete
 
 
 def test_recovered_structure_decodes_like_the_true_key(make_rng):
