@@ -2,7 +2,7 @@
 
 from .rng import RandomStream, derive_substream_seed, substream
 from .gf2 import BitVector, CirculantBlock, BlockMatrix, NotInvertibleError
-from .qc import QcParams, QcParityCheck, QcGenerator, GenerationError
+from .qc import QcParams, QcParityCheck, GenerationError
 from .bitflip import (
     DecoderConfig,
     DecodeOutcome,
@@ -45,7 +45,6 @@ __all__ = [
     "NotInvertibleError",
     "QcParams",
     "QcParityCheck",
-    "QcGenerator",
     "GenerationError",
     "DecoderConfig",
     "DecodeOutcome",

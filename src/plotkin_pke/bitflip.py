@@ -30,6 +30,7 @@ H (c + e)^T = H e^T, so both words take the same steps and fail together.
 from __future__ import annotations
 
 import json
+import os
 from bisect import bisect_right
 from dataclasses import dataclass
 from concurrent.futures import ProcessPoolExecutor
@@ -281,10 +282,12 @@ def estimate_dfr(params: QcParams, t: int, cfg: DecoderConfig, trials: int,
     Trial i draws everything from the independent substream
     derive(seed, i) of the master seed, so the report is bit-for-bit
     reproducible and does not depend on how trials are split across
-    workers.  Worker results are merged in worker order.
+    workers.  Worker results are merged in worker order.  ``workers`` is
+    capped at the trial count and the CPU count.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
+    workers = min(workers, trials, os.cpu_count() or 1)
     seed = rng.seed
     if workers <= 1:
         failures = _dfr_range(params, t, cfg, seed, 0, trials)

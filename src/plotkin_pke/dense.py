@@ -66,27 +66,34 @@ def vec_mat_mul(v: np.ndarray, m: np.ndarray) -> np.ndarray:
     return (prod & 1).astype(np.uint8)
 
 
+def pivot(m: np.ndarray, row: int, col: int) -> bool:
+    """One in-place Gauss-Jordan step over GF(2).
+
+    Moves the first row at or below ``row`` with a 1 in ``col`` up to
+    ``row``, then clears ``col`` in every other row.  Returns False, with
+    ``m`` untouched, when no such row exists.
+    """
+    hits = np.flatnonzero(m[row:, col])
+    if hits.size == 0:
+        return False
+    src = row + hits[0]
+    if src != row:
+        m[[row, src]] = m[[src, row]]
+    others = np.flatnonzero(m[:, col])
+    m[others[others != row]] ^= m[row]
+    return True
+
+
 def rref(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form over GF(2); returns (R, pivot columns)."""
     m = (np.asarray(a, dtype=np.uint8) & 1).copy()
     rows, cols = m.shape
     pivots: list[int] = []
-    rank = 0
     for col in range(cols):
-        if rank == rows:
+        if len(pivots) == rows:
             break
-        hits = np.nonzero(m[rank:, col])[0]
-        if hits.size == 0:
-            continue
-        src = rank + hits[0]
-        if src != rank:
-            m[[rank, src]] = m[[src, rank]]
-        elim = np.nonzero(m[:, col])[0]
-        for i in elim:
-            if i != rank:
-                m[i] ^= m[rank]
-        pivots.append(col)
-        rank += 1
+        if pivot(m, len(pivots), col):
+            pivots.append(col)
     return m, pivots
 
 

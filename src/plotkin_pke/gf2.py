@@ -9,8 +9,8 @@ arithmetic modulo x^r - 1.  This module keeps rows as plain Python ints
 
 * ``BitVector``       -- fixed-length immutable bit vectors,
 * ``CirculantBlock``  -- one circulant, with +, *, transpose, inverse,
-* ``BlockMatrix``     -- matrices of circulant blocks (used for the scrambler
-                         and for generator/parity block layouts),
+* ``BlockMatrix``     -- matrices of circulant blocks: the scrambler and
+                         every generator, systematic or scrambled,
 * ``sample_fixed_weight`` -- uniform fixed-weight vectors from a RandomStream.
 
 Useful facts used throughout: transposing a circulant reverses the index of
@@ -399,24 +399,18 @@ class BlockMatrix:
 def sample_fixed_weight(rng: RandomStream, n: int, t: int) -> BitVector:
     """Uniform weight-t vector of length n.
 
-    Draws ceil(log2 n)-bit position candidates from the stream, rejecting
-    values >= n and repeats, until t distinct positions are chosen.  With
-    t = 0 no bits are consumed.
+    Draws positions with ``rng.randbelow(n)``, skipping repeats, until t
+    distinct positions are chosen.  With t = 0 no bits are consumed.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if not 0 <= t <= n:
         raise ValueError("weight must lie in [0, n]")
-    nbits = (n - 1).bit_length()
     value = 0
     remaining = t
     while remaining:
-        candidate = rng.take_bits(nbits)
-        if candidate >= n:
-            continue
-        bit = 1 << candidate
-        if value & bit:
-            continue
-        value |= bit
-        remaining -= 1
+        bit = 1 << rng.randbelow(n)
+        if not value & bit:
+            value |= bit
+            remaining -= 1
     return BitVector(n, value)

@@ -4,7 +4,8 @@ A quasi-cyclic code here is an [n0*r, (n0-1)*r] code whose parity-check
 matrix is a single row of n0 circulant blocks H = [H_0 | ... | H_{n0-1}]
 with H_{n0-1} invertible.  The corresponding systematic generator is
 G = [I_k | Q] with block column Q_i = (H_{n0-1}^{-1} H_i)^T, so that every
-codeword is [message | parity] and H c^T = 0.
+codeword is [message | parity] and H c^T = 0; ``derive_generator`` returns
+it as an (n0-1) x n0 ``BlockMatrix``.
 
 Two sparsity regimes are supported: "mdpc" rows (total weight on the order
 of sqrt(n)) decode with bit-flipping at moderate error weights, and "ldpc"
@@ -20,12 +21,12 @@ from dataclasses import dataclass
 
 from .gf2 import (
     BitVector,
+    BlockMatrix,
     CirculantBlock,
     NotInvertibleError,
     _mul_mod,
     _transpose_row,
     sample_fixed_weight,
-    vec_mul,
 )
 from .rng import RandomStream
 
@@ -104,18 +105,6 @@ class QcParityCheck:
         return tuple(b.weight for b in self.blocks)
 
 
-@dataclass(frozen=True)
-class QcGenerator:
-    """Systematic generator [I_k | Q]; only the k0 blocks of Q are stored."""
-
-    params: QcParams
-    right_blocks: tuple[CirculantBlock, ...]
-
-    def __post_init__(self):
-        if len(self.right_blocks) != self.params.n0 - 1:
-            raise ValueError("generator needs n0 - 1 right-hand blocks")
-
-
 def sample_parity_check(rng: RandomStream, params: QcParams) -> QcParityCheck:
     """Sample block rows at the prescribed weights; the last block is
     resampled (up to a fixed attempt budget) until it inverts."""
@@ -137,23 +126,19 @@ def sample_parity_check(rng: RandomStream, params: QcParams) -> QcParityCheck:
     )
 
 
-def derive_generator(h: QcParityCheck) -> QcGenerator:
+def derive_generator(h: QcParityCheck) -> BlockMatrix:
+    """Systematic generator [I_k | Q] as an (n0-1) x n0 block matrix: block
+    row i of the identity I_k, extended by Q_i = (H_{n0-1}^{-1} H_i)^T."""
     inv = h.blocks[-1].inverse()
-    right = tuple(
-        (inv * h.blocks[i]).transpose() for i in range(h.params.n0 - 1)
-    )
-    return QcGenerator(h.params, right)
+    eye = BlockMatrix.identity(h.params.n0 - 1, h.params.r)
+    return BlockMatrix(tuple(
+        row + ((inv * h_i).transpose(),) for row, h_i in zip(eye.blocks, h.blocks[:-1])
+    ))
 
 
-def encode(gen: QcGenerator, message: BitVector) -> BitVector:
-    """Systematic encoding: [message | parity] with parity = sum m_i(x) q_i(x)."""
-    params = gen.params
-    if message.length != params.k:
-        raise ValueError("message length differs from code dimension")
-    parity = BitVector(params.r, 0)
-    for part, block in zip(message.chunks(params.r), gen.right_blocks):
-        parity = parity ^ vec_mul(part, block)
-    return message.concat(parity)
+def encode(gen: BlockMatrix, message: BitVector) -> BitVector:
+    """Systematic encoding: message times [I_k | Q] is [message | parity]."""
+    return gen.vec_mul(message)
 
 
 def _word_blocks(h: QcParityCheck, word: BitVector) -> list[int]:

@@ -49,9 +49,6 @@ class RandomStream:
         chunk = int.from_bytes(self._buf[first : last + 1], "little")
         return (chunk >> (start % 8)) & ((1 << nbits) - 1)
 
-    def take_bytes(self, nbytes: int) -> bytes:
-        return self.take_bits(8 * nbytes).to_bytes(nbytes, "little")
-
     def randbelow(self, bound: int) -> int:
         """Uniform draw from [0, bound) by rejection on bit_length-sized candidates."""
         if bound <= 0:

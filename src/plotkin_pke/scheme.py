@@ -184,16 +184,6 @@ def _sample_scrambler(rng: RandomStream, params: SchemeParams) -> tuple[BlockMat
     raise GenerationError(f"no invertible scrambler after {SCRAMBLER_ATTEMPTS} attempts")
 
 
-def _scrambled_generator(s: BlockMatrix, right_blocks: tuple[CirculantBlock, ...]) -> BlockMatrix:
-    """S [I_k | A] = [S | S A] as a k0 x n0 block matrix."""
-    a_col = BlockMatrix(tuple((b,) for b in right_blocks))
-    sa = s @ a_col
-    rows = tuple(
-        s.blocks[i] + (sa.blocks[i][0],) for i in range(s.block_rows)
-    )
-    return BlockMatrix(rows)
-
-
 def keygen(params: SchemeParams, rng: RandomStream) -> tuple[PublicKey, SecretKey]:
     """Sample (H1, H2, S) and publish the scrambled generators."""
     h1 = sample_parity_check(rng, params.mdpc_params())
@@ -201,11 +191,7 @@ def keygen(params: SchemeParams, rng: RandomStream) -> tuple[PublicKey, SecretKe
     g1 = derive_generator(h1)
     g2 = derive_generator(h2)
     s, s_inv = _sample_scrambler(rng, params)
-    pk = PublicKey(
-        params=params,
-        sg1=_scrambled_generator(s, g1.right_blocks),
-        sg2=_scrambled_generator(s, g2.right_blocks),
-    )
+    pk = PublicKey(params=params, sg1=s @ g1, sg2=s @ g2)
     return pk, SecretKey(params=params, h1=h1, h2=h2, s=s, s_inv=s_inv)
 
 

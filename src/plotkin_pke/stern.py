@@ -20,6 +20,7 @@ from itertools import combinations
 
 import numpy as np
 
+from .dense import pivot
 from .gf2 import BitVector
 from .isd import log2_binom
 from .rng import RandomStream
@@ -47,23 +48,17 @@ def _reduce_onto_information_set(
     m = rows[:, perm].copy()
     order = list(perm)
     for col in range(d):
-        hits = np.nonzero(m[col:, col])[0]
-        if hits.size == 0:
-            # pull in a later column that has a one below the diagonal
-            for swap in range(d, n):
-                if np.any(m[col:, swap]):
-                    m[:, [col, swap]] = m[:, [swap, col]]
-                    order[col], order[swap] = order[swap], order[col]
-                    hits = np.nonzero(m[col:, col])[0]
-                    break
-            else:
-                return None  # rank-deficient; caller restarts
-        src = col + hits[0]
-        if src != col:
-            m[[col, src]] = m[[src, col]]
-        for i in np.nonzero(m[:, col])[0]:
-            if i != col:
-                m[i] ^= m[col]
+        if pivot(m, col, col):
+            continue
+        # pull in a later column that has a one below the diagonal
+        for swap in range(d, n):
+            if np.any(m[col:, swap]):
+                m[:, [col, swap]] = m[:, [swap, col]]
+                order[col], order[swap] = order[swap], order[col]
+                pivot(m, col, col)
+                break
+        else:
+            return None  # rank-deficient; caller restarts
     return m, order
 
 

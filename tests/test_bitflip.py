@@ -1,5 +1,7 @@
 """Bit-flipping decoders: oracle checks, invariants, DFR harness."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -222,6 +224,29 @@ def test_estimate_dfr_worker_count_invariant():
     a = estimate_dfr(TOY_LDPC, 2, classic_bf_config(), 60, RandomStream(b"\x04" * 32), workers=1)
     b = estimate_dfr(TOY_LDPC, 2, classic_bf_config(), 60, RandomStream(b"\x04" * 32), workers=2)
     assert a == b
+
+
+def test_estimate_dfr_caps_workers(monkeypatch):
+    # a serial stand-in for the pool: records the size asked for, starts nothing
+    built = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            built.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr("plotkin_pke.bitflip.ProcessPoolExecutor", SerialPool)
+    cfg = classic_bf_config()
+    capped = estimate_dfr(TOY_LDPC, 2, cfg, 6, RandomStream(b"\x06" * 32), workers=10**6)
+    assert all(w <= min(6, os.cpu_count() or 1) for w in built)
+    assert capped == estimate_dfr(TOY_LDPC, 2, cfg, 6, RandomStream(b"\x06" * 32), workers=1)
 
 
 def _codeword_trial_failures(params, t, cfg, trials, seed):

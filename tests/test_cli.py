@@ -322,3 +322,36 @@ def test_mutated_files_keep_exit_code_contract(desk_files, data):
              "--out", str(d / "back")],
         ):
             assert main(argv) in (0, 2, 4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_subcommands_keep_exit_code_contract(data):
+    small = st.integers(-1, 20)
+    command = data.draw(st.sampled_from(("keygen", "estimate", "dfr", "dfr-target", "attack-demo")))
+    r = data.draw(st.sampled_from((-3, 0, 1, 2, 3, 9, 13, 29)))
+    weights = [f"--{name}={data.draw(small)}" for name in ("w1", "w2", "t1", "t2")]
+    params = [f"--n0={data.draw(st.integers(0, 3))}", f"--r={r}", *weights]
+    seed = ["--seed", SEED_A]
+    with tempfile.TemporaryDirectory() as tmp:
+        if command == "keygen":
+            argv = ["keygen", *params, "--pub", f"{tmp}/pk", "--sec", f"{tmp}/sk", *seed]
+        elif command == "estimate":
+            argv = ["estimate", *params]
+        elif command == "dfr":
+            argv = ["dfr", *params, f"--coordinate={data.draw(st.sampled_from((1, 2)))}",
+                    f"--t={data.draw(small)}", f"--trials={data.draw(st.integers(-1, 3))}", *seed]
+        elif command == "dfr-target":
+            # budget 10 passes the 10/target precondition at target 1
+            argv = ["dfr", *params, f"--target={data.draw(st.sampled_from((-1.0, 0.5, 1.0)))}",
+                    f"--budget={data.draw(st.sampled_from((-1, 0, 3, 10)))}", *seed]
+        else:
+            argv = ["attack-demo", f"--r={r}", *weights,
+                    f"--samples={data.draw(st.integers(0, 2))}",
+                    f"--stern-iterations={data.draw(st.integers(0, 2))}", *seed]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+            assert code == 2
+        assert code in (0, 2, 3, 4)

@@ -55,26 +55,10 @@ def test_generator_orthogonal_to_parity(make_rng):
         params = QcParams(n0, r, w, flavor)
         h = sample_parity_check(make_rng(tag), params)
         gen = derive_generator(h)
-        g_dense = dense.expand_block_matrix(BlockMatrix(_generator_grid(gen)))
+        g_dense = dense.expand_block_matrix(gen)
         h_dense = dense.expand_block_matrix(BlockMatrix((h.blocks,)))
         prod = dense.mat_mul(g_dense, h_dense.T)
         assert not prod.any()
-
-
-def _generator_grid(gen):
-    # [I_k | Q] written as an (n0-1) x n0 circulant grid
-    from plotkin_pke.gf2 import CirculantBlock
-
-    n0 = gen.params.n0
-    r = gen.params.r
-    eye = CirculantBlock.identity(r)
-    zero = CirculantBlock.zero(r)
-    rows = []
-    for i in range(n0 - 1):
-        row = [eye if j == i else zero for j in range(n0 - 1)]
-        row.append(gen.right_blocks[i])
-        rows.append(tuple(row))
-    return tuple(rows)
 
 
 def test_encode_matches_dense(make_rng):
@@ -82,7 +66,7 @@ def test_encode_matches_dense(make_rng):
     params = QcParams(3, 13, 9, "ldpc")
     h = sample_parity_check(rng, params)
     gen = derive_generator(h)
-    g_dense = dense.expand_block_matrix(BlockMatrix(_generator_grid(gen)))
+    g_dense = dense.expand_block_matrix(gen)
     for _ in range(25):
         m = BitVector(params.k, rng.take_bits(params.k))
         got = dense.to_array(encode(gen, m))

@@ -17,7 +17,7 @@ from plotkin_pke.bitflip import decode
 from plotkin_pke.gf2 import BitVector, BlockMatrix, sample_fixed_weight
 from plotkin_pke.rng import RandomStream
 from plotkin_pke.scheme import SchemeParams, encrypt, keygen, ldpc_decoder_config
-from plotkin_pke.stern import stern_search
+from plotkin_pke.stern import _reduce_onto_information_set, stern_search
 
 LAB = SchemeParams(2, 101, 14, 6, 4, 4)
 
@@ -57,6 +57,41 @@ def test_stern_finds_planted_row(make_rng):
     prod = dense.vec_mat_mul(dense.to_array(result.found), gen.T)
     assert not prod.any()
     assert result.found == v  # the plant is the only sparse dual word
+
+
+def _row_space(m):
+    """Every GF(2) combination of the rows, as packed ints."""
+    span = {0}
+    for row in m:
+        v = int("".join(str(b) for b in row[::-1]) or "0", 2)
+        span |= {s ^ v for s in span}
+    return span
+
+
+def test_eliminations_match_row_space_oracle():
+    g = np.random.default_rng(0xE1)
+    for _ in range(60):
+        rows, cols = g.integers(1, 9), g.integers(1, 15)
+        a = g.integers(0, 2, size=(rows, cols), dtype=np.uint8)
+        red, pivots = dense.rref(a)
+        assert pivots == sorted(set(pivots))
+        for i, col in enumerate(pivots):
+            assert red[i, :col].sum() == 0
+            assert red[:, col].tolist() == [int(j == i) for j in range(rows)]
+        assert not red[len(pivots):].any()
+        assert _row_space(red) == _row_space(a)
+        if rows > cols:
+            continue  # a Stern dual is never taller than wide
+
+        perm = [int(j) for j in g.permutation(cols)]
+        reduced = _reduce_onto_information_set(a, perm)
+        if reduced is None:
+            assert len(_row_space(a)) < 2 ** rows  # rank-deficient
+            continue
+        m, order = reduced
+        assert sorted(order) == list(range(cols))
+        assert (m[:, :rows] == np.eye(rows, dtype=np.uint8)).all()
+        assert _row_space(m) == _row_space(a[:, order])
 
 
 def test_stern_trivial_target_first_iteration(make_rng):
