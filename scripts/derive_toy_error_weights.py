@@ -12,7 +12,7 @@ import json
 
 from plotkin_pke.bitflip import backflip_config, classic_bf_config, select_t_for_dfr
 from plotkin_pke.qc import QcParams
-from plotkin_pke.rng import RandomStream, substream
+from plotkin_pke.rng import substream
 
 TOY_R = 523
 TOY_W1 = 30

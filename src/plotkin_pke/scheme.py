@@ -28,7 +28,6 @@ shows exactly that failure mode.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass, field
 
 from .bitflip import DecodeOutcome, DecoderConfig, backflip_config, classic_bf_config, decode

@@ -325,6 +325,22 @@ def test_mutated_files_keep_exit_code_contract(desk_files, data):
 
 
 @settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(("pk", "sk", "ct")), blob=st.binary(max_size=64))
+def test_random_files_keep_exit_code_contract(desk_files, name, blob):
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        for other, content in desk_files.items():
+            (d / other).write_bytes(blob if other == name else content)
+        for argv in (
+            ["encrypt", "--pub", str(d / "pk"), "--in", str(d / "msg"),
+             "--out", str(d / "ct2"), "--seed", SEED_B],
+            ["decrypt", "--sec", str(d / "sk"), "--in", str(d / "ct"),
+             "--out", str(d / "back")],
+        ):
+            assert main(argv) in (0, 2, 4)
+
+
+@settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_subcommands_keep_exit_code_contract(data):
     small = st.integers(-1, 20)

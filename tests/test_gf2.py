@@ -10,6 +10,7 @@ from plotkin_pke.gf2 import (
     BlockMatrix,
     CirculantBlock,
     NotInvertibleError,
+    _SPARSE_MAX_WEIGHT,
     sample_fixed_weight,
 )
 from plotkin_pke.rng import RandomStream
@@ -122,6 +123,51 @@ def test_block_add_and_transpose_match_dense(pair):
 def test_transpose_antihomomorphism(pair):
     a, b = pair
     assert (a * b).transpose() == b.transpose() * a.transpose()
+
+
+@pytest.mark.parametrize(
+    "weight", [0, 1, 64, 128, 129, _SPARSE_MAX_WEIGHT, _SPARSE_MAX_WEIGHT + 1, 200, 261, 522, 523]
+)
+def test_block_mul_matches_dense_across_comb_cutoff(make_rng, weight):
+    # the lighter operand's weight crosses the set-bit/comb cut-off
+    rng = make_rng(weight)
+    r = 523
+    a = CirculantBlock(r, sample_fixed_weight(rng, r, weight))
+    b = CirculantBlock(r, sample_fixed_weight(rng, r, max(weight, r // 2)))
+    dense_b = dense.expand_block(b)
+    assert np.array_equal(dense.expand_block(a * b), dense.mat_mul(dense.expand_block(a), dense_b))
+    assert b * a == a * b
+    c = random_block(rng, r)  # dense x dense
+    assert np.array_equal(dense.expand_block(b * c), dense.mat_mul(dense_b, dense.expand_block(c)))
+
+
+def test_dense_block_mul_matches_convolution_at_cca128_size(make_rng):
+    rng = make_rng(0x5B)
+    r = 11779
+    a, b = random_block(rng, r), random_block(rng, r)
+    full = np.convolve(
+        dense.to_array(a.row0).astype(np.int64), dense.to_array(b.row0).astype(np.int64)
+    )
+    folded = full[:r].copy()
+    folded[: r - 1] += full[r:]
+    assert dense.to_array((a * b).row0).tolist() == (folded & 1).tolist()
+
+
+@pytest.mark.parametrize("size", [1, 2])
+def test_dense_blockmatrix_inverse_round_trip(make_rng, size):
+    rng = make_rng(0x5C + size)
+    r = 523
+    eye = BlockMatrix.identity(size, r)
+    while True:
+        m = random_grid(rng, size, size, r)
+        try:
+            inv = m.inverse()
+        except NotInvertibleError:
+            continue
+        break
+    assert min(b.weight for row in inv.blocks for b in row) > _SPARSE_MAX_WEIGHT  # comb
+    assert m @ inv == eye
+    assert inv @ m == eye
 
 
 def test_block_inverse_round_trip(rng):

@@ -1,13 +1,11 @@
 """Quasi-cyclic code construction against the dense oracle."""
 
-import numpy as np
 import pytest
 
 from plotkin_pke import dense
 from plotkin_pke.gf2 import BitVector, BlockMatrix, sample_fixed_weight
 from plotkin_pke.qc import (
     QcParams,
-    QcParityCheck,
     derive_generator,
     encode,
     sample_parity_check,

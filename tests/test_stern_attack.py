@@ -15,7 +15,6 @@ from plotkin_pke.attack import (
 )
 from plotkin_pke.bitflip import decode
 from plotkin_pke.gf2 import BitVector, BlockMatrix, sample_fixed_weight
-from plotkin_pke.rng import RandomStream
 from plotkin_pke.scheme import SchemeParams, encrypt, keygen, ldpc_decoder_config
 from plotkin_pke.stern import _reduce_onto_information_set, stern_search
 

@@ -1,9 +1,13 @@
 """Serialization: lossless round trips and strict rejection of bad bytes."""
 
+import hashlib
+
 import pytest
 
+from plotkin_pke import preset
 from plotkin_pke.gf2 import BitVector
-from plotkin_pke.scheme import Ciphertext, SchemeParams, encrypt, keygen
+from plotkin_pke.rng import RandomStream
+from plotkin_pke.scheme import SchemeParams, encrypt, keygen
 from plotkin_pke.wire import (
     HEADER_BYTES,
     MalformedHeaderError,
@@ -50,6 +54,23 @@ def test_roundtrips_many_keys(make_rng):
         pk, sk = keygen(DESK, rng)
         assert deserialize_public(serialize_public(pk)) == pk
         assert deserialize_secret(serialize_secret(sk)).s == sk.s
+
+
+@pytest.mark.parametrize(
+    "name, digest",
+    [
+        ("toy", "5a62a921789f388a03e159f17540689207d3dc8d6983390e2f6aa067ccb10346"),
+        ("cca128", "e0050ab6339b66a2ba8083bc059d23a67c65ad737e86ff5921770c83c303b321"),
+    ],
+)
+def test_wire_bytes_known_answer(name, digest):
+    params = preset(name)
+    pk, sk = keygen(params, RandomStream(b"\x11" * 32))
+    bits = params.plaintext_bits
+    m = BitVector(bits, RandomStream(b"\x33" * 32).take_bits(bits))
+    ct = encrypt(pk, m, RandomStream(b"\x22" * 32))
+    blob = serialize_public(pk) + serialize_secret(sk) + serialize_ciphertext(ct)
+    assert hashlib.sha256(blob).hexdigest() == digest
 
 
 def test_public_payload_size():
