@@ -10,27 +10,24 @@ this script with the same seed must reproduce them exactly.
 import argparse
 import json
 
-from plotkin_pke.bitflip import backflip_config, classic_bf_config, select_t_for_dfr
-from plotkin_pke.qc import QcParams
+from plotkin_pke.bitflip import select_t_for_dfr
+from plotkin_pke.presets import TOY_SELECTION_SEED, preset
 from plotkin_pke.rng import substream
-
-TOY_R = 523
-TOY_W1 = 30
-TOY_W2 = 8
-DEFAULT_SEED = "0a" * 32
+from plotkin_pke.scheme import ldpc_decoder_config, mdpc_decoder_config
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--target", type=float, default=1e-2)
     parser.add_argument("--budget", type=int, default=2000)
-    parser.add_argument("--seed", default=DEFAULT_SEED, help="64 hex chars")
+    parser.add_argument("--seed", default=TOY_SELECTION_SEED, help="64 hex chars")
     args = parser.parse_args()
 
     seed = bytes.fromhex(args.seed)
+    toy = preset("toy")
     coordinates = [
-        ("t1", QcParams(2, TOY_R, TOY_W1, "mdpc"), backflip_config(), 0),
-        ("t2", QcParams(2, TOY_R, TOY_W2, "ldpc"), classic_bf_config(), 1),
+        ("t1", toy.mdpc_params(), mdpc_decoder_config(toy), 0),
+        ("t2", toy.ldpc_params(), ldpc_decoder_config(toy), 1),
     ]
     out = {"seed": args.seed, "target": args.target, "budget": args.budget}
     for name, params, cfg, index in coordinates:

@@ -45,6 +45,12 @@ from .rng import RandomStream, derive_substream_seed, substream
 
 VARIANTS = ("classic-bf", "backflip")
 THRESHOLD_RULES = ("majority", "fixed", "max-upc-delta")
+# Backflip ttl cap and slope numerator.  8 rather than the conventional 5:
+# with the majority threshold the ttl slope TTL_SATURATION/colWeight needs
+# the larger numerator, or expiry churn swamps convergence right where the
+# mdpc decoder has to work (measured at r=523, w=30: t=18 fails 6.5% with 5,
+# 0.1% with 8)
+TTL_SATURATION = 8
 
 
 class SelectionError(ValueError):
@@ -58,11 +64,6 @@ class DecoderConfig:
     max_iters: int = 50
     fixed_schedule: tuple[int, ...] = ()
     delta: int = 0
-    # 8 rather than the conventional 5: with the majority threshold the
-    # ttl slope saturation/colWeight needs the larger numerator, or expiry
-    # churn swamps convergence right where the mdpc decoder has to work
-    # (measured at r=523, w=30: t=18 fails 6.5% with 5, 0.1% with 8)
-    ttl_saturation: int = 8
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -78,18 +79,14 @@ class DecoderConfig:
                 raise ValueError("fixed thresholds must be positive")
         if self.delta < 0:
             raise ValueError("delta must be nonnegative")
-        if self.ttl_saturation < 1:
-            raise ValueError("ttl_saturation must be positive")
 
 
 def classic_bf_config(threshold: str = "majority", max_iters: int = 50, **kw) -> DecoderConfig:
     return DecoderConfig(variant="classic-bf", threshold=threshold, max_iters=max_iters, **kw)
 
 
-def backflip_config(threshold: str = "majority", max_iters: int = 100,
-                    ttl_saturation: int = 8, **kw) -> DecoderConfig:
-    return DecoderConfig(variant="backflip", threshold=threshold, max_iters=max_iters,
-                         ttl_saturation=ttl_saturation, **kw)
+def backflip_config(threshold: str = "majority", max_iters: int = 100, **kw) -> DecoderConfig:
+    return DecoderConfig(variant="backflip", threshold=threshold, max_iters=max_iters, **kw)
 
 
 @dataclass(frozen=True)
@@ -191,8 +188,7 @@ def decode(h: QcParityCheck, word: BitVector, cfg: DecoderConfig) -> DecodeOutco
                 margin = upc[fresh] - th
                 ttl[flips] = 0
                 ttl[fresh] = np.minimum(
-                    cfg.ttl_saturation,
-                    1 + (margin * cfg.ttl_saturation) // col_weights[fresh],
+                    TTL_SATURATION, 1 + (margin * TTL_SATURATION) // col_weights[fresh],
                 )
             apply_toggles(flips)
             if s == 0:

@@ -23,7 +23,7 @@ from . import wire
 from .attack import recover_dual_structure, weak_key_attack_demo
 from .bitflip import estimate_dfr, select_t_for_dfr
 from .gf2 import BitVector
-from .isd import isd_cost, keyrec_workfactor, msgrec_workfactor
+from .isd import ALGORITHMS, isd_cost, keyrec_workfactor, msgrec_workfactor
 from .presets import PRESETS, preset
 from .qc import GenerationError
 from .rng import RandomStream, substream
@@ -66,27 +66,23 @@ def _parse_seed(text: str | None) -> bytes:
     try:
         seed = bytes.fromhex(text)
     except ValueError:
-        raise SystemExit2("--seed must be hex")
+        raise ValueError("--seed must be hex")
     if len(seed) != 32:
-        raise SystemExit2("--seed must be 64 hex characters (32 bytes)")
+        raise ValueError("--seed must be 64 hex characters (32 bytes)")
     return seed
-
-
-class SystemExit2(Exception):
-    """Parameter-level error, mapped to exit code 2."""
 
 
 def _params_from_args(args) -> SchemeParams:
     if args.preset is not None:
         explicit = [args.n0, args.r, args.w1, args.w2, args.t1, args.t2]
         if any(v is not None for v in explicit):
-            raise SystemExit2("--preset and explicit parameters are exclusive")
+            raise ValueError("--preset and explicit parameters are exclusive")
         return preset(args.preset)
     explicit = {"--r": args.r, "--w1": args.w1, "--w2": args.w2,
                 "--t1": args.t1, "--t2": args.t2}
     missing = [k for k, v in explicit.items() if v is None]
     if missing:
-        raise SystemExit2(
+        raise ValueError(
             "give --preset or all of --r --w1 --w2 --t1 --t2 (missing: "
             + " ".join(missing) + ")"
         )
@@ -168,7 +164,7 @@ def _cmd_dfr(args) -> int:
     rng = RandomStream(_parse_seed(args.seed))
     if args.target is not None:
         if args.budget is None:
-            raise SystemExit2("--target requires --budget")
+            raise ValueError("--target requires --budget")
         t = select_t_for_dfr(qc_params, args.target, args.budget, cfg, rng)
         _print({
             "coordinate": args.coordinate,
@@ -188,12 +184,10 @@ def _cmd_estimate(args) -> int:
     n, k = params.n, params.k
     per_algorithm = {
         "keyRecovery": {
-            alg: isd_cost(alg, n, k, params.w2).to_dict()
-            for alg in ("prange", "stern", "bjmm2")
+            alg: isd_cost(alg, n, k, params.w2).to_dict() for alg in ALGORITHMS
         },
         "messageRecovery": {
-            alg: isd_cost(alg, n, k, params.t1).to_dict()
-            for alg in ("prange", "stern", "bjmm2")
+            alg: isd_cost(alg, n, k, params.t1).to_dict() for alg in ALGORITHMS
         },
     }
     keyrec = keyrec_workfactor(params)
@@ -309,9 +303,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit2 as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARAMS
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAMS

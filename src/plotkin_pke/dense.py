@@ -57,10 +57,6 @@ def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (prod & 1).astype(np.uint8)
 
 
-def mat_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return (a ^ b).astype(np.uint8)
-
-
 def vec_mat_mul(v: np.ndarray, m: np.ndarray) -> np.ndarray:
     prod = v.astype(np.int64) @ m.astype(np.int64)
     return (prod & 1).astype(np.uint8)

@@ -16,8 +16,11 @@ arithmetic modulo x^r - 1.  This module keeps rows as plain Python ints
 Useful facts used throughout: transposing a circulant reverses the index of
 every nonzero coefficient (j -> -j mod r); a circulant is invertible iff
 gcd(a(x), x^r - 1) = 1, which requires odd row weight, and Euclid run one
-leading term per step (``_xgcd``) finds the inverse; and a row vector times
-a circulant is again a polynomial product.
+leading term per step (``_xgcd``) finds the inverse; when 2 has order r - 1
+modulo r, x^r - 1 = (x + 1) Phi_r with Phi_r = 1 + x + ... + x^(r-1)
+irreducible, so odd weight below r is also sufficient (the all-ones row is
+Phi_r itself), which lets ``qc.sample_parity_check`` skip the inversion;
+and a row vector times a circulant is again a polynomial product.
 
 Every product goes through ``_mul_mod``, which has two branches on the
 weight of the lighter operand: up to ``_SPARSE_MAX_WEIGHT`` (the rows of H)
@@ -82,11 +85,6 @@ class BitVector:
     @property
     def weight(self) -> int:
         return self.value.bit_count()
-
-    def bit(self, j: int) -> int:
-        if not 0 <= j < self.length:
-            raise IndexError("bit index out of range")
-        return (self.value >> j) & 1
 
     def support(self) -> tuple[int, ...]:
         out = []
@@ -236,10 +234,6 @@ class CirculantBlock:
     def identity(cls, r: int) -> "CirculantBlock":
         return cls(r, BitVector(r, 1))
 
-    @classmethod
-    def from_support(cls, r: int, positions) -> "CirculantBlock":
-        return cls(r, BitVector.from_support(r, positions))
-
     @property
     def weight(self) -> int:
         return self.row0.weight
@@ -268,10 +262,6 @@ class CirculantBlock:
         return CirculantBlock(
             self.r, BitVector(self.r, _inverse_mod(self.row0.value, self.r))
         )
-
-    def row(self, i: int) -> BitVector:
-        """Row i of the expanded matrix (right shift of row 0 by i)."""
-        return self.row0.rotated(i)
 
 
 def vec_mul(v: BitVector, block: CirculantBlock) -> BitVector:
@@ -340,28 +330,6 @@ class BlockMatrix:
                 row.append(acc)
             rows.append(tuple(row))
         return BlockMatrix(tuple(rows))
-
-    def __add__(self, other: "BlockMatrix") -> "BlockMatrix":
-        if (self.block_rows, self.block_cols, self.r) != (
-            other.block_rows,
-            other.block_cols,
-            other.r,
-        ):
-            raise ValueError("block shape mismatch")
-        return BlockMatrix(
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.blocks, other.blocks)
-            )
-        )
-
-    def transpose(self) -> "BlockMatrix":
-        return BlockMatrix(
-            tuple(
-                tuple(self.blocks[i][j].transpose() for i in range(self.block_rows))
-                for j in range(self.block_cols)
-            )
-        )
 
     def vec_mul(self, v: BitVector) -> BitVector:
         """Row vector (block_rows * r bits) times this matrix."""

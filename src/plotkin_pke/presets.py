@@ -27,27 +27,13 @@ TOY_T1 = 18
 TOY_T2 = 1
 
 PRESETS: dict[str, SchemeParams] = {
-    "toy": SchemeParams(
-        n0=2, r=523, w1=30, w2=8, t1=TOY_T1, t2=TOY_T2, security_level=0
-    ),
-    "cpa128": SchemeParams(
-        n0=2, r=10163, w1=142, w2=14, t1=134, t2=134, security_level=128
-    ),
-    "cca128": SchemeParams(
-        n0=2, r=11779, w1=142, w2=14, t1=134, t2=134, security_level=128
-    ),
-    "cpa192": SchemeParams(
-        n0=2, r=19853, w1=206, w2=15, t1=199, t2=199, security_level=192
-    ),
-    "cca192": SchemeParams(
-        n0=2, r=24821, w1=206, w2=15, t1=199, t2=199, security_level=192
-    ),
-    "cpa256": SchemeParams(
-        n0=2, r=32749, w1=274, w2=15, t1=264, t2=264, security_level=256
-    ),
-    "cca256": SchemeParams(
-        n0=2, r=40597, w1=274, w2=15, t1=264, t2=264, security_level=256
-    ),
+    "toy": SchemeParams(n0=2, r=523, w1=30, w2=8, t1=TOY_T1, t2=TOY_T2),
+    "cpa128": SchemeParams(n0=2, r=10163, w1=142, w2=14, t1=134, t2=134),
+    "cca128": SchemeParams(n0=2, r=11779, w1=142, w2=14, t1=134, t2=134),
+    "cpa192": SchemeParams(n0=2, r=19853, w1=206, w2=15, t1=199, t2=199),
+    "cca192": SchemeParams(n0=2, r=24821, w1=206, w2=15, t1=199, t2=199),
+    "cpa256": SchemeParams(n0=2, r=32749, w1=274, w2=15, t1=264, t2=264),
+    "cca256": SchemeParams(n0=2, r=40597, w1=274, w2=15, t1=264, t2=264),
 }
 
 

@@ -105,20 +105,47 @@ class QcParityCheck:
         return tuple(b.weight for b in self.blocks)
 
 
+def _two_generates(r: int) -> bool:
+    """True when 2 has order r - 1 modulo r (Lucas test; r is then prime).
+
+    For such r, x^r - 1 = (x + 1) Phi_r over GF(2) with Phi_r = 1 + x + ...
+    + x^(r-1) irreducible, so a row inverts iff its weight is odd and below r.
+    """
+    if r <= 2 or pow(2, r - 1, r) != 1:
+        return False
+    m, q = r - 1, 2  # trial division of r - 1 by each prime q
+    while q * q <= m:
+        if m % q == 0:
+            if pow(2, (r - 1) // q, r) == 1:
+                return False
+            while m % q == 0:
+                m //= q
+        q += 1
+    return m == 1 or pow(2, (r - 1) // m, r) != 1  # m > 1 is the last prime
+
+
 def sample_parity_check(rng: RandomStream, params: QcParams) -> QcParityCheck:
     """Sample block rows at the prescribed weights; the last block is
-    resampled (up to a fixed attempt budget) until it inverts."""
+    resampled (up to a fixed attempt budget) until it inverts.
+
+    ``block_weights`` makes the last block odd, so when 2 has order r - 1
+    modulo r (``_two_generates``, the BIKE rule) a weight below r already
+    proves it invertible and no inversion is run; at other r each draw is
+    tested by inverting it.  Both tests accept exactly the same rows.
+    """
     weights = params.block_weights()
     blocks = [
         CirculantBlock(params.r, sample_fixed_weight(rng, params.r, weights[i]))
         for i in range(params.n0 - 1)
     ]
+    weight_decides = _two_generates(params.r)
     for _ in range(SAMPLE_ATTEMPTS):
         last = CirculantBlock(params.r, sample_fixed_weight(rng, params.r, weights[-1]))
-        try:
-            last.inverse()
-        except NotInvertibleError:
-            continue
+        if not (weight_decides and last.weight < params.r):
+            try:
+                last.inverse()
+            except NotInvertibleError:
+                continue
         blocks.append(last)
         return QcParityCheck(params, tuple(blocks))
     raise GenerationError(

@@ -28,7 +28,7 @@ shows exactly that failure mode.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .bitflip import DecodeOutcome, DecoderConfig, backflip_config, classic_bf_config, decode
 from .gf2 import (
@@ -62,9 +62,6 @@ class SchemeParams:
     w2: int
     t1: int
     t2: int
-    # a label the wire header does not carry; parameter sets that differ
-    # only here describe the same codes, so it takes no part in equality
-    security_level: int = field(default=0, compare=False)
 
     def __post_init__(self):
         # Flavor-specific validation happens in the QcParams constructors.
@@ -73,8 +70,6 @@ class SchemeParams:
         for t in (self.t1, self.t2):
             if not 0 <= t <= self.n:
                 raise ValueError("error weight out of range")
-        if self.security_level < 0:
-            raise ValueError("security level must be nonnegative")
 
     def mdpc_params(self) -> QcParams:
         return QcParams(self.n0, self.r, self.w1, "mdpc")
@@ -200,8 +195,7 @@ def hash_mask(z1: BitVector, n: int) -> BitVector:
     return BitVector(n, int.from_bytes(digest, "little") & ((1 << n) - 1))
 
 
-def encrypt_with(pk: PublicKey, message: BitVector, z1: BitVector, z2: BitVector,
-                 apply_mask: bool = True) -> Ciphertext:
+def encrypt_with(pk: PublicKey, message: BitVector, z1: BitVector, z2: BitVector) -> Ciphertext:
     """Deterministic encryption core with caller-supplied noise.
 
     Mostly useful for tests and the attack lab; ``encrypt`` is the
@@ -216,11 +210,7 @@ def encrypt_with(pk: PublicKey, message: BitVector, z1: BitVector, z2: BitVector
     m2 = message.slice(params.k, params.k)
     u = pk.sg1.vec_mul(m1)
     v = pk.sg2.vec_mul(m2)
-    c1 = u ^ z1
-    c2 = u ^ v ^ z2
-    if apply_mask:
-        c2 = c2 ^ hash_mask(z1, params.n)
-    return Ciphertext(params, c1, c2)
+    return Ciphertext(params, u ^ z1, u ^ v ^ z2 ^ hash_mask(z1, params.n))
 
 
 def encrypt(pk: PublicKey, message: BitVector, rng: RandomStream) -> Ciphertext:

@@ -175,8 +175,6 @@ def test_config_validation():
         DecoderConfig(threshold="fixed", max_iters=2, fixed_schedule=(5, 0))
     with pytest.raises(ValueError):
         DecoderConfig(delta=-1)
-    with pytest.raises(ValueError):
-        DecoderConfig(ttl_saturation=0)
 
 
 # --- Clopper-Pearson ---------------------------------------------------------

@@ -355,8 +355,10 @@ def test_subcommands_keep_exit_code_contract(data):
         elif command == "estimate":
             argv = ["estimate", *params]
         elif command == "dfr":
+            # estimate_dfr caps the pool at the trial count, so at most 2 processes
             argv = ["dfr", *params, f"--coordinate={data.draw(st.sampled_from((1, 2)))}",
-                    f"--t={data.draw(small)}", f"--trials={data.draw(st.integers(-1, 3))}", *seed]
+                    f"--t={data.draw(small)}", f"--trials={data.draw(st.integers(-1, 3))}",
+                    f"--workers={data.draw(st.sampled_from((-1, 0, 1, 2)))}", *seed]
         elif command == "dfr-target":
             # budget 10 passes the 10/target precondition at target 1
             argv = ["dfr", *params, f"--target={data.draw(st.sampled_from((-1.0, 0.5, 1.0)))}",

@@ -45,7 +45,7 @@ def test_bitvector_support_roundtrip():
     v = BitVector.from_support(11, (0, 3, 10))
     assert v.support() == (0, 3, 10)
     assert v.weight == 3
-    assert [v.bit(j) for j in range(11)] == [1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1]
+    assert [(v.value >> j) & 1 for j in range(11)] == [1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1]
 
 
 def test_bitvector_bytes_roundtrip(rng):
@@ -87,7 +87,7 @@ def test_block_rows_are_shifts(rng):
     row0 = dense.to_array(block.row0)
     for i in range(13):
         assert mat[i].tolist() == np.roll(row0, i).tolist()
-        assert block.row(i) == dense.from_array(mat[i])
+        assert block.row0.rotated(i) == dense.from_array(mat[i])
 
 
 @settings(max_examples=60, deadline=None)
@@ -111,8 +111,7 @@ def test_block_mul_commutes(pair):
 def test_block_add_and_transpose_match_dense(pair):
     a, b = pair
     assert np.array_equal(
-        dense.expand_block(a + b),
-        dense.mat_add(dense.expand_block(a), dense.expand_block(b)),
+        dense.expand_block(a + b), dense.expand_block(a) ^ dense.expand_block(b)
     )
     assert np.array_equal(dense.expand_block(a.transpose()), dense.expand_block(a).T)
     assert a.transpose().transpose() == a
@@ -209,7 +208,7 @@ def test_even_weight_never_invertible(rng):
 
 def test_weight_one_blocks_invert(rng):
     for j in range(13):
-        block = CirculantBlock.from_support(13, (j,))
+        block = CirculantBlock(13, BitVector.from_support(13, (j,)))
         assert block * block.inverse() == CirculantBlock.identity(13)
 
 
@@ -242,19 +241,6 @@ def test_blockmatrix_matmul_matches_dense(rng):
         got = dense.expand_block_matrix(a @ b)
         want = dense.mat_mul(dense.expand_block_matrix(a), dense.expand_block_matrix(b))
         assert np.array_equal(got, want)
-
-
-def test_blockmatrix_add_transpose_match_dense(rng):
-    r = 11
-    a = random_grid(rng, 2, 3, r)
-    b = random_grid(rng, 2, 3, r)
-    assert np.array_equal(
-        dense.expand_block_matrix(a + b),
-        dense.mat_add(dense.expand_block_matrix(a), dense.expand_block_matrix(b)),
-    )
-    assert np.array_equal(
-        dense.expand_block_matrix(a.transpose()), dense.expand_block_matrix(a).T
-    )
 
 
 def test_blockmatrix_vec_mul_matches_dense(rng):

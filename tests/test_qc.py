@@ -3,9 +3,16 @@
 import pytest
 
 from plotkin_pke import dense
-from plotkin_pke.gf2 import BitVector, BlockMatrix, sample_fixed_weight
+from plotkin_pke.gf2 import (
+    BitVector,
+    BlockMatrix,
+    CirculantBlock,
+    NotInvertibleError,
+    sample_fixed_weight,
+)
 from plotkin_pke.qc import (
     QcParams,
+    _two_generates,
     derive_generator,
     encode,
     sample_parity_check,
@@ -114,3 +121,44 @@ def test_resampling_recovers_from_bad_last_block(make_rng):
     for tag in range(10):
         h = sample_parity_check(make_rng(tag + 16), params)
         h.blocks[-1].inverse()
+
+
+def test_weight_rule_replaces_inversion_when_two_generates(make_rng, monkeypatch):
+    # Lucas test against the order of 2 found by brute force
+    def order_of_two(r):
+        x, k = 2, 1
+        while x != 1:
+            x, k = x * 2 % r, k + 1
+        return k
+
+    for r in range(600):
+        prime = r > 2 and all(r % d for d in range(2, r))
+        assert _two_generates(r) == (prime and order_of_two(r) == r - 1), r
+    # there an odd-weight row inverts iff its weight is below r (the
+    # all-ones row is the irreducible factor of x^r - 1 besides x + 1)
+    rng = make_rng(0x3C)
+    for r in (13, 101):
+        assert _two_generates(r)
+        for w in range(1, r + 1, 2):
+            for _ in range(3):
+                block = CirculantBlock(r, sample_fixed_weight(rng, r, w))
+                try:
+                    block.inverse()
+                    inverts = True
+                except NotInvertibleError:
+                    inverts = False
+                assert inverts == (w < r)
+    # so sampling at such r runs no inversion; at r = 31 (2 has order 5)
+    # each last-block draw is still tested by inverting it
+    calls = []
+    real_inverse = CirculantBlock.inverse
+
+    def counting_inverse(block):
+        calls.append(block.r)
+        return real_inverse(block)
+
+    monkeypatch.setattr(CirculantBlock, "inverse", counting_inverse)
+    sample_parity_check(make_rng(3), QcParams(2, 523, 30, "mdpc"))
+    assert calls == []
+    sample_parity_check(make_rng(3), QcParams(2, 31, 7, "mdpc"))
+    assert calls

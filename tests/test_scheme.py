@@ -42,8 +42,6 @@ def test_params_validation():
         SchemeParams(2, 13, 5, 3, 27, 1)  # t1 > n
     with pytest.raises(ValueError):
         SchemeParams(2, 13, 5, 3, 1, -1)
-    with pytest.raises(ValueError):
-        SchemeParams(2, 13, 5, 3, 1, 1, security_level=-8)
 
 
 def test_dimension_properties():
@@ -131,9 +129,9 @@ def test_encrypt_linear_part_matches_dense_generator(make_rng):
     n = DESK.n
     for _ in range(10):
         m = BitVector(DESK.plaintext_bits, rng.take_bits(DESK.plaintext_bits))
-        ct = encrypt_with(pk, m, _zero(n), _zero(n), apply_mask=False)
+        ct = encrypt_with(pk, m, _zero(n), _zero(n))
         linear = dense.vec_mat_mul(dense.to_array(m), gprime)
-        assert dense.from_array(linear) == ct.c1.concat(ct.c2)
+        assert dense.from_array(linear) == ct.c1.concat(ct.c2 ^ hash_mask(_zero(n), n))
 
 
 def test_encrypt_noise_weight_exact(make_rng):
@@ -224,17 +222,16 @@ def test_ciphertext_for_other_params_rejected(make_rng):
             decrypt(key, ct)
 
 
-def test_wire_loaded_ciphertext_and_key_decrypt_at_labelled_params(make_rng):
-    # the wire header carries no security level, so params read back from
-    # bytes must still match a key made from a labelled parameter set
-    labelled = dataclasses.replace(TOY, security_level=128)
+def test_wire_loaded_ciphertext_and_key_cross_decrypt(make_rng):
+    # params read back from the wire header must equal the preset's, so a
+    # wire-loaded ciphertext meets an in-memory key and the other way round
     rng = make_rng(0x3D)
-    pk, sk = keygen(labelled, rng)
+    pk, sk = keygen(TOY, rng)
     m = BitVector(TOY.plaintext_bits, rng.take_bits(TOY.plaintext_bits))
     ct = encrypt(pk, m, rng)
     wire_ct = wire.deserialize_ciphertext(wire.serialize_ciphertext(ct))
     wire_sk = wire.deserialize_secret(wire.serialize_secret(sk))
-    assert wire_ct.params.security_level == 0
+    assert wire_ct.params == TOY
     assert decrypt(sk, wire_ct) == m
     assert decrypt(wire_sk, ct) == m
 
