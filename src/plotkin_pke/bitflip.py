@@ -201,11 +201,11 @@ def decode(h: QcParityCheck, word: BitVector, cfg: DecoderConfig) -> DecodeOutco
 # DFR estimation
 
 
-def clopper_pearson(failures: int, trials: int, confidence: float = 0.95) -> tuple[float, float]:
-    """Exact binomial confidence interval for a failure count."""
+def clopper_pearson(failures: int, trials: int) -> tuple[float, float]:
+    """Exact 95% binomial confidence interval for a failure count."""
     if not 0 <= failures <= trials or trials < 1:
         raise ValueError("need 0 <= failures <= trials, trials >= 1")
-    alpha = 1.0 - confidence
+    alpha = 1.0 - 0.95  # not the float 0.05, which differs in the last bit
     lo = 0.0 if failures == 0 else float(_beta.ppf(alpha / 2, failures, trials - failures + 1))
     hi = 1.0 if failures == trials else float(_beta.ppf(1 - alpha / 2, failures + 1, trials - failures))
     return lo, hi

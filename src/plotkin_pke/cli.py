@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Subcommands: keygen, encrypt, decrypt, dfr, estimate, attack-demo.
-Results go to stdout as JSON, diagnostics to stderr.  Exit codes:
+Results go to stdout as JSON, diagnostics to stderr.  attack-demo runs one
+Stern search; when it finds no row there is nothing to attack the samples
+with, so it reports ``samples: []``.  Exit codes:
 
     0  success
     2  bad parameters, malformed or unreadable files, unwritable outputs,
@@ -214,14 +216,11 @@ def _cmd_attack_demo(args) -> int:
     )
     reports = []
     sample_rng = substream(rng.seed, 2)
-    for _ in range(args.samples):
+    for _ in range(args.samples if recovered is not None else 0):
         message = BitVector(params.plaintext_bits,
                             sample_rng.take_bits(params.plaintext_bits))
         ct = encrypt(pk, message, sample_rng)
-        report = weak_key_attack_demo(
-            pk, ct, message, sample_rng, recovered=recovered,
-            max_iterations=args.stern_iterations,
-        )
+        report = weak_key_attack_demo(pk, ct, message, sample_rng, recovered=recovered)
         reports.append(report.to_dict())
     _print({
         "r": params.r,

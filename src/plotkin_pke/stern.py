@@ -3,7 +3,7 @@
 Given a systematic generator [I_k | A] of an [n, k] code, the dual code is
 generated by H = [A^T | I_{n-k}].  Each restart permutes the columns,
 row-reduces H onto a fresh information set, splits the reduced rows into
-two halves, and meets weight-p row combinations from each half in the
+two halves, and meets pairs of rows (Stern's p = 2) from each half in the
 middle on an ell-bit window; colliding pairs whose combined row has total
 weight <= the target are returned as dual codewords.
 
@@ -25,11 +25,12 @@ from .gf2 import BitVector
 from .isd import log2_binom
 from .rng import RandomStream
 
+P = 2  # rows taken from each half; the pair loops below unpack exactly two
+
 
 @dataclass(frozen=True)
 class SternResult:
     found: BitVector | None  # dual codeword of weight <= target, or None
-    weight: int | None
     iterations: int  # restarts actually spent
 
 
@@ -50,15 +51,14 @@ def _reduce_onto_information_set(
     for col in range(d):
         if pivot(m, col, col):
             continue
-        # pull in a later column that has a one below the diagonal
-        for swap in range(d, n):
-            if np.any(m[col:, swap]):
-                m[:, [col, swap]] = m[:, [swap, col]]
-                order[col], order[swap] = order[swap], order[col]
-                pivot(m, col, col)
-                break
-        else:
+        # pull in the first later column that has a one below the diagonal
+        later = np.flatnonzero(m[col:, d:].any(axis=0))
+        if later.size == 0:
             return None  # rank-deficient; caller restarts
+        swap = d + int(later[0])
+        m[:, [col, swap]] = m[:, [swap, col]]
+        order[col], order[swap] = order[swap], order[col]
+        pivot(m, col, col)
     return m, order
 
 
@@ -67,8 +67,6 @@ def stern_search(
     target_weight: int,
     rng: RandomStream,
     max_iterations: int = 500,
-    p: int = 2,
-    window: int | None = None,
 ) -> SternResult:
     """Search the dual of the code generated by ``gen_sys`` (shape k x n,
     systematic [I|A] form, 0/1 entries) for a word of weight <= target.
@@ -85,15 +83,10 @@ def stern_search(
         raise ValueError("target weight must be positive")
     dual = _dual_generator(gen_sys)
     d = n - k
-    if p < 1 or 2 * p > d:
-        raise ValueError("p out of range for the dual dimension")
+    if 2 * P > d:
+        raise ValueError("dual dimension too small for two pairs of rows")
     half = d // 2
-    if window is None:
-        pairs = max(2.0, float(log2_binom(half, p)))
-        window = max(1, min(n - d, int(pairs)))
-    if not 1 <= window <= n - d:
-        raise ValueError("window must fit inside the redundancy part")
-
+    window = max(1, min(n - d, int(max(2.0, log2_binom(half, P)))))
     win_mask = (1 << window) - 1
 
     for iteration in range(1, max_iterations + 1):
@@ -103,40 +96,25 @@ def stern_search(
         if reduced is None:
             continue
         m, order = reduced
-        tail = m[:, d:]  # the B part, d x (n - d)
-        tail_ints = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
-                     for row in tail]
+        packed = np.packbits(m[:, d:], axis=1, bitorder="little")  # the B part
+        tail_ints = [int.from_bytes(row.tobytes(), "little") for row in packed]
 
-        lists: list[dict[int, list[tuple[int, ...]]]] = [{}, {}]
+        # each half maps a window value to the (row sum, pair) that give it
+        lists: list[dict[int, list[tuple[int, tuple[int, int]]]]] = [{}, {}]
         for side, rows_idx in enumerate((range(0, half), range(half, d))):
-            for combo in combinations(rows_idx, p):
-                acc = 0
-                for i in combo:
-                    acc ^= tail_ints[i]
-                lists[side].setdefault(acc & win_mask, []).append(combo)
+            for i, j in combinations(rows_idx, P):
+                acc = tail_ints[i] ^ tail_ints[j]
+                lists[side].setdefault(acc & win_mask, []).append((acc, (i, j)))
 
-        for key, left_combos in lists[0].items():
-            right_combos = lists[1].get(key)
-            if not right_combos:
-                continue
-            for lc in left_combos:
-                left_acc = 0
-                for i in lc:
-                    left_acc ^= tail_ints[i]
-                for rc in right_combos:
-                    acc = left_acc
-                    for i in rc:
-                        acc ^= tail_ints[i]
-                    weight = 2 * p + acc.bit_count()
-                    if weight > target_weight:
+        for key, left in lists[0].items():
+            for left_acc, lc in left:
+                for right_acc, rc in lists[1].get(key, ()):
+                    acc = left_acc ^ right_acc
+                    if 2 * P + acc.bit_count() > target_weight:
                         continue
                     support = [order[i] for i in lc + rc]
-                    rest = acc
-                    while rest:
-                        low = rest & -rest
-                        support.append(order[d + low.bit_length() - 1])
-                        rest ^= low
+                    support += [order[d + j] for j in BitVector(n - d, acc).support()]
                     found = BitVector.from_support(n, support)
-                    return SternResult(found=found, weight=weight, iterations=iteration)
+                    return SternResult(found=found, iterations=iteration)
 
-    return SternResult(found=None, weight=None, iterations=max_iterations)
+    return SternResult(found=None, iterations=max_iterations)

@@ -10,7 +10,8 @@ concatenated with no per-row padding, the whole payload padded with zero
 bits to a byte boundary):
 
 * public key:  first rows of all SG1 blocks row-major, then all SG2 blocks;
-               2 (n0-1) n0 r bits total.
+               2 (n0-1) n0 r bits total.  Both start with the same
+               scrambler S, and loading checks that they do.
 * secret key:  first rows of H1 blocks, H2 blocks, then the scrambler S
                blocks row-major; S^-1 is recomputed on load.
 * ciphertext:  c1 then c2; 2 n0 r bits.
@@ -128,11 +129,12 @@ def deserialize_public(data: bytes) -> PublicKey:
     k0, n0, r = params.k0, params.n0, params.r
     rows = _unpack_rows(payload, r, 2 * k0 * n0)
     half = k0 * n0
-    return PublicKey(
-        params=params,
-        sg1=_grid_from_rows(rows[:half], r, k0, n0),
-        sg2=_grid_from_rows(rows[half:], r, k0, n0),
-    )
+    sg1 = _grid_from_rows(rows[:half], r, k0, n0)
+    sg2 = _grid_from_rows(rows[half:], r, k0, n0)
+    # SG1 = [S | S A1] and SG2 = [S | S A2] publish one scrambler twice
+    if [row[:k0] for row in sg1.blocks] != [row[:k0] for row in sg2.blocks]:
+        raise WireFormatError("the two public generators carry different scramblers")
+    return PublicKey(params=params, sg1=sg1, sg2=sg2)
 
 
 def serialize_secret(sk: SecretKey) -> bytes:

@@ -7,8 +7,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plotkin_pke import cli
+from plotkin_pke import attack, cli
 from plotkin_pke.cli import main
+from plotkin_pke.stern import SternResult
+from plotkin_pke.wire import HEADER_BYTES
 
 SEED_A = "11" * 32
 SEED_B = "22" * 32
@@ -164,6 +166,19 @@ def test_corrupt_public_key_file_exits_2(keydir, tmp_path, capsys):
     assert "magic" in err
 
 
+def test_public_key_with_two_scramblers_exits_2(keydir, tmp_path, capsys):
+    bad = tmp_path / "bad.pk"
+    blob = bytearray((keydir / "pk.bin").read_bytes())
+    blob[HEADER_BYTES + 2 * 523 // 8] ^= 1 << (2 * 523 % 8)  # bit 0 of SG2's copy of S
+    bad.write_bytes(bytes(blob))
+    code, _, err = _run(capsys, [
+        "encrypt", "--pub", str(bad),
+        "--in", str(keydir / "msg.bin"), "--out", str(tmp_path / "ct"),
+    ])
+    assert code == 2
+    assert "scramblers" in err
+
+
 def test_params_mismatch_between_key_and_ciphertext(keydir, tmp_path, capsys):
     assert main([
         "keygen", "--r", "13", "--w1", "5", "--w2", "3", "--t1", "1", "--t2", "1",
@@ -280,6 +295,24 @@ def test_attack_demo_json(capsys):
     assert record["anyPlaintextRecovered"] is False
     for sample in record["samples"]:
         assert sample["attackSucceeded"] is False
+
+
+def test_attack_demo_without_a_row_runs_one_search(capsys, monkeypatch):
+    calls = []
+
+    def no_row(gen_sys, target, rng, max_iterations=500):
+        calls.append(max_iterations)
+        return SternResult(found=None, iterations=max_iterations)
+
+    monkeypatch.setattr(attack, "stern_search", no_row)
+    code, out, _ = _run(capsys, [
+        "attack-demo", "--samples", "3", "--stern-iterations", "5", "--seed", SEED_A,
+    ])
+    assert code == 0
+    assert calls == [5]
+    record = json.loads(out)
+    assert record["rowFound"] is False
+    assert record["samples"] == []
 
 
 @pytest.fixture(scope="module")

@@ -141,6 +141,16 @@ def test_nonzero_padding_bits(material):
         deserialize_public(bytes(blob))
 
 
+def test_public_key_with_two_scramblers_rejected():
+    params = preset("toy")
+    pk, _ = keygen(params, RandomStream(b"\x11" * 32))
+    blob = bytearray(serialize_public(pk))
+    bit = 2 * params.r  # bit 0 of SG2's first block, its copy of S
+    blob[HEADER_BYTES + bit // 8] ^= 1 << (bit % 8)
+    with pytest.raises(WireFormatError, match="scramblers"):
+        deserialize_public(bytes(blob))
+
+
 def test_secret_weight_mismatch(material):
     _, sk, _, _ = material
     blob = bytearray(serialize_secret(sk))
