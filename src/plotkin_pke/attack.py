@@ -26,7 +26,7 @@ import json
 from dataclasses import dataclass
 
 from . import dense
-from .gf2 import BitVector, CirculantBlock, _xgcd
+from .gf2 import BitVector, BlockMatrix, CirculantBlock, _xgcd
 from .qc import QcParams, QcParityCheck, syndrome
 from .bitflip import decode
 from .rng import RandomStream
@@ -86,11 +86,13 @@ class AttackReport:
 def systematic_public_generator(pk: PublicKey, coordinate: int = 2):
     """Dense systematic form [I_k | A] of a published generator.
 
-    This is the attacker's first move: the scrambler S disappears under
-    row reduction, because row space is all a generator exposes.
+    This is the attacker's first move.  The scrambler is public, as the
+    left k0 x k0 block of SG = [S | S A], so S^-1 SG = [I | A] over the
+    circulant ring; a non-invertible S raises ``NotInvertibleError``.
     """
     grid = pk.sg1 if coordinate == 1 else pk.sg2
-    return dense.systematic_form(dense.expand_block_matrix(grid))
+    s = BlockMatrix(tuple(row[:pk.params.k0] for row in grid.blocks))
+    return dense.expand_block_matrix(s.inverse() @ grid)
 
 
 def rotations_parity_check(pk_params, row: BitVector) -> QcParityCheck:

@@ -1,9 +1,10 @@
 """Bit-flipping decoders for quasi-cyclic codes, plus a DFR laboratory.
 
-Decoding works on the unsatisfied-parity-check (upc) counts: for a received
-word y with syndrome s = H y^T, bit j participates in colWeight checks and
-upc[j] of them are currently unsatisfied.  Bits whose count clears a
-threshold get flipped.  Two variants:
+Decoding works on the unsatisfied-parity-check (upc) counts.  The decoder
+tracks an error estimate e; with s = H (y + e)^T the syndrome of the received
+word y corrected by e, bit j sits in colWeight checks and upc[j] of them are
+unsatisfied.  Bits whose count clears a threshold get flipped in e, and s
+moves by the flipped bits' own syndrome (H is linear).  Two variants:
 
 * ``classic-bf``: flip all selected bits simultaneously each iteration.
 * ``backflip``:   same selection, but every flip carries a time-to-live;
@@ -39,8 +40,8 @@ import numpy as np
 from scipy.stats import beta as _beta
 
 from .gf2 import BitVector, sample_fixed_weight
-from .qc import QcParams, QcParityCheck, sample_parity_check
-from .qc import _syndrome_int, _transposed_rows, _word_blocks  # packed kernels
+from .qc import QcParams, QcParityCheck, sample_parity_check, syndrome
+from .qc import _syndrome_int, _transposed_rows  # packed kernels
 from .rng import RandomStream, derive_substream_seed, substream
 
 VARIANTS = ("classic-bf", "backflip")
@@ -116,60 +117,54 @@ def _upc(s: int, supports: list[tuple[int, ...]], r: int) -> np.ndarray:
 
 def upc_profile(h: QcParityCheck, word: BitVector) -> np.ndarray:
     """Unsatisfied-check count for every bit position, as an int array."""
-    r = h.params.r
-    s = _syndrome_int(_word_blocks(h, word), _transposed_rows(h), r)
-    return _upc(s, [b.row0.support() for b in h.blocks], r)
+    return _upc(syndrome(h, word).value, [b.row0.support() for b in h.blocks], h.params.r)
 
 
 def decode(h: QcParityCheck, word: BitVector, cfg: DecoderConfig) -> DecodeOutcome:
-    """Deterministic bit-flipping decode of ``word`` against parity check ``h``."""
+    """Deterministic bit-flipping decode of ``word`` against parity check ``h``:
+    the state is the error estimate e, one packed n-bit int, and the syndrome
+    s of word + e, which every flip moves by the flipped bits' own syndrome."""
     r, n = h.params.r, h.params.n
-    y_blocks = _word_blocks(h, word)
     h_t_rows = _transposed_rows(h)
     supports = [b.row0.support() for b in h.blocks]
     col_weights = np.repeat(h.block_weights, r).astype(np.int32)
     majority = (col_weights + 2) // 2  # ceil((colWeight + 1) / 2)
+    s = syndrome(h, word).value
+    e = 0
 
-    def apply_toggles(positions: np.ndarray) -> None:
-        # batched XOR of all selected bits, then one syndrome recompute;
-        # commutativity makes this identical to per-bit updates
-        nonlocal s
+    def toggle(positions: np.ndarray) -> bool:
+        """Flip all selected bits of e at once; True once s is zero."""
+        nonlocal e, s
         bitmap = np.zeros(n, dtype=np.uint8)
         bitmap[positions] = 1
-        for i in range(len(y_blocks)):
-            packed = np.packbits(bitmap[i * r:(i + 1) * r], bitorder="little")
-            y_blocks[i] ^= int.from_bytes(packed.tobytes(), "little")
-        s = _syndrome_int(y_blocks, h_t_rows, r)
+        delta = int.from_bytes(np.packbits(bitmap, bitorder="little").tobytes(), "little")
+        e ^= delta
+        s ^= _syndrome_int(delta, h_t_rows, r)
+        return s == 0
 
-    def finish(success: bool, iterations: int) -> DecodeOutcome:
-        if not success:
-            return DecodeOutcome(False, iterations, None, None)
-        cw = BitVector(0, 0)
-        for i, yb in enumerate(y_blocks):
-            cw = cw.concat(BitVector(r, yb))
-        return DecodeOutcome(True, iterations, cw, word ^ cw)
+    def success(iterations: int) -> DecodeOutcome:
+        error = BitVector(n, e)
+        return DecodeOutcome(True, iterations, word ^ error, error)
 
-    s = _syndrome_int(y_blocks, h_t_rows, r)
     if s == 0:
-        return finish(True, 0)
+        return success(0)
 
     backflip = cfg.variant == "backflip"
     ttl = np.zeros(n, dtype=np.int32) if backflip else None  # 0 = not pending
     for iteration in range(1, cfg.max_iters + 1):
+        upc = _upc(s, supports, r)
         has_pending = backflip and bool(ttl.any())
         if has_pending:
-            upc = _upc(s, supports, r)
             active = ttl > 0
             ttl[active] -= 1
-            expired = active & (ttl == 0)
-            undo = np.nonzero(expired & (upc > 0))[0]  # support still unsatisfied
+            # expired, and its support still unsatisfied
+            undo = np.nonzero(active & (ttl == 0) & (upc > 0))[0]
             if undo.size:
-                apply_toggles(undo)
-                if s == 0:
-                    return finish(True, iteration)
+                if toggle(undo):
+                    return success(iteration)
+                upc = _upc(s, supports, r)
             has_pending = bool(ttl.any())
 
-        upc = _upc(s, supports, r)
         if cfg.threshold == "majority":
             thresholds = majority
         elif cfg.threshold == "fixed":
@@ -179,22 +174,20 @@ def decode(h: QcParityCheck, word: BitVector, cfg: DecoderConfig) -> DecodeOutco
         flips = np.nonzero(upc >= thresholds)[0]
 
         if flips.size == 0 and not has_pending:
-            return finish(False, iteration)  # stalled: nothing can change
+            return DecodeOutcome(False, iteration, None, None)  # stalled: nothing can change
 
         if flips.size:
             if backflip:
                 fresh = flips[ttl[flips] == 0]  # the rest: undo a pending flip early
-                th = thresholds[fresh] if isinstance(thresholds, np.ndarray) else thresholds
-                margin = upc[fresh] - th
+                margin = (upc - thresholds)[fresh]
                 ttl[flips] = 0
                 ttl[fresh] = np.minimum(
                     TTL_SATURATION, 1 + (margin * TTL_SATURATION) // col_weights[fresh],
                 )
-            apply_toggles(flips)
-            if s == 0:
-                return finish(True, iteration)
+            if toggle(flips):
+                return success(iteration)
 
-    return finish(False, cfg.max_iters)
+    return DecodeOutcome(False, cfg.max_iters, None, None)
 
 
 # ---------------------------------------------------------------------------

@@ -168,27 +168,23 @@ def encode(gen: BlockMatrix, message: BitVector) -> BitVector:
     return gen.vec_mul(message)
 
 
-def _word_blocks(h: QcParityCheck, word: BitVector) -> list[int]:
-    """``word`` split into its n0 packed length-r blocks."""
-    if word.length != h.params.n:
-        raise ValueError("word length differs from code length")
-    return [c.value for c in word.chunks(h.params.r)]
-
-
 def _transposed_rows(h: QcParityCheck) -> list[int]:
     """First row of each transposed block H_i^T, packed."""
     return [_transpose_row(b.row0.value, h.params.r) for b in h.blocks]
 
 
-def _syndrome_int(y_blocks: list[int], h_t_rows: list[int], r: int) -> int:
-    """H y^T on packed ints: sum of y_i(x) times the transposed row of H_i."""
+def _syndrome_int(y: int, h_t_rows: list[int], r: int) -> int:
+    """H y^T on a packed word: sum of its blocks y_i(x) times the rows H_i^T."""
+    mask = (1 << r) - 1
     s = 0
-    for yb, ht in zip(y_blocks, h_t_rows):
-        s ^= _mul_mod(yb, ht, r)
+    for i, ht in enumerate(h_t_rows):
+        s ^= _mul_mod((y >> i * r) & mask, ht, r)
     return s
 
 
 def syndrome(h: QcParityCheck, word: BitVector) -> BitVector:
     """H x^T as a length-r vector; zero exactly on codewords."""
+    if word.length != h.params.n:
+        raise ValueError("word length differs from code length")
     r = h.params.r
-    return BitVector(r, _syndrome_int(_word_blocks(h, word), _transposed_rows(h), r))
+    return BitVector(r, _syndrome_int(word.value, _transposed_rows(h), r))

@@ -12,7 +12,6 @@ import pytest
 from plotkin_pke import dense, preset
 from plotkin_pke.attack import (
     recover_dual_structure,
-    systematic_public_generator,
     weak_key_attack_demo,
 )
 from plotkin_pke.bitflip import backflip_config, decode, estimate_dfr
@@ -67,8 +66,8 @@ def _dense_hprime(pk):
     [[H1, 0], [H2, H2]]."""
     k = pk.params.k
     hs = []
-    for coordinate in (1, 2):
-        gen_sys = systematic_public_generator(pk, coordinate)
+    for grid in (pk.sg1, pk.sg2):
+        gen_sys = dense.systematic_form(dense.expand_block_matrix(grid))
         a = gen_sys[:, k:]
         hs.append(np.concatenate([a.T, np.eye(pk.params.r, dtype=np.uint8)], axis=1))
     h1, h2 = hs

@@ -1,11 +1,14 @@
 """Bit-flipping decoders: oracle checks, invariants, DFR harness."""
 
+import hashlib
+import json
 import os
 
 import numpy as np
 import pytest
 
 from plotkin_pke import dense
+from plotkin_pke.attack import recover_dual_structure
 from plotkin_pke.bitflip import (
     DecoderConfig,
     SelectionError,
@@ -24,8 +27,10 @@ from plotkin_pke.qc import (
     derive_generator,
     encode,
     sample_parity_check,
+    syndrome,
 )
 from plotkin_pke.rng import RandomStream, substream
+from plotkin_pke.scheme import SchemeParams, encrypt, keygen, ldpc_decoder_config
 
 TOY_MDPC = QcParams(2, 523, 30, "mdpc")
 TOY_LDPC = QcParams(2, 523, 8, "ldpc")
@@ -102,8 +107,6 @@ def test_decode_single_error_always(make_rng, cfg):
 
 
 def test_decode_success_soundness(make_rng):
-    from plotkin_pke.qc import syndrome
-
     rng, h, gen = _instance(make_rng, 6, TOY_LDPC)
     for t in (0, 1, 2, 3, 5, 40):
         for _ in range(5):
@@ -145,8 +148,52 @@ def test_decode_quasi_cyclic_equivariance(make_rng):
 
 def test_decode_length_mismatch(make_rng):
     _, h, _ = _instance(make_rng, 9, QcParams(2, 13, 6, "ldpc"))
+    short = BitVector(13, 0)
     with pytest.raises(ValueError):
-        decode(h, BitVector(13, 0), classic_bf_config())
+        decode(h, short, classic_bf_config())
+    with pytest.raises(ValueError):
+        syndrome(h, short)
+    with pytest.raises(ValueError):
+        upc_profile(h, short)
+
+
+def test_decode_known_answer():
+    # (success, iterations, error) of 380 decodes: seeded toy codeword +
+    # error words under both variants and all three threshold rules, so
+    # backflip undo and expiry, stalls and max_iters all occur, and the
+    # hopeless words of the r = 101 attack demo
+    schedules = {"mdpc": (9, 9) + (8,) * 98, "ldpc": (4,) * 100}
+    record = []
+    for params, weights in ((TOY_MDPC, (18, 22, 26)), (TOY_LDPC, (1, 2, 4))):
+        configs = (
+            backflip_config(),
+            classic_bf_config(),
+            classic_bf_config(threshold="max-upc-delta", delta=0),
+            backflip_config(threshold="max-upc-delta", delta=1),
+            backflip_config(threshold="fixed", fixed_schedule=schedules[params.flavor]),
+        )
+        for t in weights:
+            for i in range(12):
+                rng = substream(bytes([params.w, t]) * 16, i)
+                h = sample_parity_check(rng, params)
+                cw = encode(derive_generator(h), BitVector(params.k, rng.take_bits(params.k)))
+                y = cw ^ sample_fixed_weight(rng, params.n, t)
+                for cfg in configs:
+                    out = decode(h, y, cfg)
+                    error = out.error_vector.value if out.success else None
+                    record.append([out.success, out.iterations, error])
+    lab = SchemeParams(2, 101, 14, 6, 4, 4)
+    for i in range(10):
+        rng = substream(b"\xa7" * 32, i)
+        pk, _ = keygen(lab, rng)
+        ct = encrypt(pk, BitVector(lab.plaintext_bits, rng.take_bits(lab.plaintext_bits)), rng)
+        rec = recover_dual_structure(pk, rng, max_iterations=50)
+        for word in ((ct.c2, ct.c1 ^ ct.c2) if rec else ()):
+            out = decode(rec.parity, word, ldpc_decoder_config(lab))
+            error = out.error_vector.value if out.success else None
+            record.append([out.success, out.iterations, error])
+    digest = hashlib.sha256(json.dumps(record).encode()).hexdigest()
+    assert digest == "9b6166abeb7fa19fe8bb424ebe8b29099d186a8278d1349040d7b22a71bcc30c"
 
 
 def test_decode_fixed_and_max_upc_rules(make_rng):

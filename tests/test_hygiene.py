@@ -1,10 +1,13 @@
-"""Source hygiene: no module imports a name it never uses."""
+"""Source hygiene: no module imports a name it never uses, and no private
+module-level name of the package goes unread."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-SCANNED = ("src/plotkin_pke", "tests", "scripts")
+PACKAGE = "src/plotkin_pke"
+SCANNED = (PACKAGE, "tests", "scripts")
+READERS = ("src", "tests", "scripts", "perfbench")
 
 
 def _exported(tree: ast.Module) -> set[str]:
@@ -49,4 +52,67 @@ def test_no_unused_imports():
         for path in sorted((ROOT / folder).rglob("*.py"))
         for line, name in unused_imports(path.read_text())
     ]
+    assert found == []
+
+
+def _private_names(stmt: ast.stmt) -> list[str]:
+    """Private (underscore, not dunder) names a module-level statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [stmt.name]
+    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    else:
+        return []
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def _reads(node: ast.AST) -> set[str]:
+    """Names a syntax tree reads: loaded names, attributes, imported names."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            out |= {a.name for a in n.names}
+    return out
+
+
+def dead_private_names(source: str, elsewhere: set[str]) -> list[tuple[int, str]]:
+    """(line, name) for each private module-level name of ``source`` that
+    no other statement of it reads and that is not in ``elsewhere``."""
+    body = ast.parse(source).body
+    reads = [_reads(stmt) for stmt in body]
+    return [
+        (stmt.lineno, name)
+        for i, stmt in enumerate(body)
+        for name in _private_names(stmt)
+        if name not in elsewhere and not any(name in r for j, r in enumerate(reads) if j != i)
+    ]
+
+
+def test_dead_private_names_detected():
+    source = (
+        "_USED = 1\n_UNUSED, _PAIR = 2, 3\n__version__ = '1'\n"
+        "def _recursive(n):\n    return _recursive(n - 1) + _USED\n"
+        "class _Read:\n    pass\n"
+        "def _kept():\n    pass\n"
+        "def public():\n    return _Read\n"
+    )
+    assert dead_private_names(source, {"_kept", "_PAIR"}) == [(2, "_UNUSED"), (4, "_recursive")]
+
+
+def test_no_dead_private_names():
+    reads = {
+        path: _reads(ast.parse(path.read_text()))
+        for folder in READERS
+        for path in sorted((ROOT / folder).rglob("*.py"))
+    }
+    found = []
+    for path in sorted((ROOT / PACKAGE).rglob("*.py")):
+        elsewhere = set().union(*(names for p, names in reads.items() if p != path))
+        found += [f"{path.relative_to(ROOT)}:{line} {name}"
+                  for line, name in dead_private_names(path.read_text(), elsewhere)]
     assert found == []

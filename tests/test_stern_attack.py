@@ -15,9 +15,21 @@ from plotkin_pke.attack import (
     weak_key_attack_demo,
 )
 from plotkin_pke.bitflip import decode
-from plotkin_pke.gf2 import BitVector, BlockMatrix, sample_fixed_weight
+from plotkin_pke.gf2 import (
+    BitVector,
+    BlockMatrix,
+    CirculantBlock,
+    NotInvertibleError,
+    sample_fixed_weight,
+)
 from plotkin_pke.rng import substream
-from plotkin_pke.scheme import SchemeParams, encrypt, keygen, ldpc_decoder_config
+from plotkin_pke.scheme import (
+    PublicKey,
+    SchemeParams,
+    encrypt,
+    keygen,
+    ldpc_decoder_config,
+)
 from plotkin_pke.stern import (
     _dual_generator,
     _reduce_onto_information_set,
@@ -147,6 +159,20 @@ def test_stern_input_validation(make_rng):
         stern_search(np.eye(3, 6, dtype=np.uint8), 6, rng)  # dual dimension < 2p
     with pytest.raises(ValueError):
         stern_search(np.eye(5, dtype=np.uint8), 1, rng)
+
+
+def test_systematic_public_generator_matches_dense_reduction():
+    # S is the public left block of both generators, so S^-1 SG over the
+    # ring is exactly the row reduction of the expanded generator
+    for i, params in enumerate((LAB, SchemeParams(3, 101, 14, 6, 4, 4))):
+        pk, _ = keygen(params, substream(b"\x5f" * 32, i))
+        for coordinate, grid in ((1, pk.sg1), (2, pk.sg2)):
+            expect = dense.systematic_form(dense.expand_block_matrix(grid))
+            got = systematic_public_generator(pk, coordinate)
+            assert got.dtype == expect.dtype and np.array_equal(got, expect)
+    zero = BlockMatrix(((CirculantBlock.zero(LAB.r),) * 2,))
+    with pytest.raises(NotInvertibleError):
+        systematic_public_generator(PublicKey(LAB, zero, zero))
 
 
 def test_recover_dual_structure_quasi_cyclic(make_rng):
