@@ -22,12 +22,11 @@ receives as an oracle precisely to certify failure).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from . import dense
 from .gf2 import BitVector, BlockMatrix, CirculantBlock, _xgcd
-from .qc import QcParams, QcParityCheck, syndrome
+from .qc import QcParams, QcParityCheck
 from .bitflip import decode
 from .rng import RandomStream
 from .scheme import Ciphertext, PublicKey, ldpc_decoder_config
@@ -79,9 +78,6 @@ class AttackReport:
             "attackSucceeded": self.attack_succeeded,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), separators=(",", ":"))
-
 
 def systematic_public_generator(pk: PublicKey, coordinate: int = 2):
     """Dense systematic form [I_k | A] of a published generator.
@@ -111,13 +107,9 @@ def _rotations_complete(parity: QcParityCheck) -> bool:
 
 
 def _orthogonal_to_public(parity: QcParityCheck, pk: PublicKey) -> bool:
-    for block_row in pk.sg2.blocks:
-        word = BitVector(0, 0)
-        for block in block_row:
-            word = word.concat(block.row0)
-        if syndrome(parity, word).value != 0:
-            return False
-    return True
+    """Every row of SG2 has zero syndrome: SG2 times the column of H_i^T."""
+    column = BlockMatrix(tuple((block.transpose(),) for block in parity.blocks))
+    return all(row[0].is_zero() for row in (pk.sg2 @ column).blocks)
 
 
 def recover_dual_structure(

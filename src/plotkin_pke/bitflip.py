@@ -13,9 +13,8 @@ moves by the flipped bits' own syndrome (H is linear).  Two variants:
                   heal instead of cascading, which lets the decoder run many
                   more iterations productively.
 
-Threshold rules: ``majority`` (ceil((colWeight+1)/2), per block),
-``fixed`` (per-iteration schedule), and ``max-upc-delta`` (flip everything
-within delta of the current maximum count).
+Threshold rules: ``majority`` (ceil((colWeight+1)/2), per block) and
+``max-upc-delta`` (flip everything within delta of the current maximum count).
 
 Failure is reported in-band through ``DecodeOutcome.success``; decoding is
 fully deterministic given (H, y, config).
@@ -39,13 +38,12 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 from scipy.stats import beta as _beta
 
-from .gf2 import BitVector, sample_fixed_weight
-from .qc import QcParams, QcParityCheck, sample_parity_check, syndrome
-from .qc import _syndrome_int, _transposed_rows  # packed kernels
+from .gf2 import BitVector, _block_dot, sample_fixed_weight
+from .qc import QcParams, QcParityCheck, _transposed_rows, sample_parity_check, syndrome
 from .rng import RandomStream, derive_substream_seed, substream
 
 VARIANTS = ("classic-bf", "backflip")
-THRESHOLD_RULES = ("majority", "fixed", "max-upc-delta")
+THRESHOLD_RULES = ("majority", "max-upc-delta")
 # Backflip ttl cap and slope numerator.  8 rather than the conventional 5:
 # with the majority threshold the ttl slope TTL_SATURATION/colWeight needs
 # the larger numerator, or expiry churn swamps convergence right where the
@@ -63,7 +61,6 @@ class DecoderConfig:
     variant: str = "classic-bf"
     threshold: str = "majority"
     max_iters: int = 50
-    fixed_schedule: tuple[int, ...] = ()
     delta: int = 0
 
     def __post_init__(self):
@@ -73,11 +70,6 @@ class DecoderConfig:
             raise ValueError(f"threshold must be one of {THRESHOLD_RULES}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-        if self.threshold == "fixed":
-            if len(self.fixed_schedule) < self.max_iters:
-                raise ValueError("fixed schedule shorter than max_iters")
-            if any(th < 1 for th in self.fixed_schedule):
-                raise ValueError("fixed thresholds must be positive")
         if self.delta < 0:
             raise ValueError("delta must be nonnegative")
 
@@ -139,7 +131,7 @@ def decode(h: QcParityCheck, word: BitVector, cfg: DecoderConfig) -> DecodeOutco
         bitmap[positions] = 1
         delta = int.from_bytes(np.packbits(bitmap, bitorder="little").tobytes(), "little")
         e ^= delta
-        s ^= _syndrome_int(delta, h_t_rows, r)
+        s ^= _block_dot(delta, h_t_rows, r)
         return s == 0
 
     def success(iterations: int) -> DecodeOutcome:
@@ -167,8 +159,6 @@ def decode(h: QcParityCheck, word: BitVector, cfg: DecoderConfig) -> DecodeOutco
 
         if cfg.threshold == "majority":
             thresholds = majority
-        elif cfg.threshold == "fixed":
-            thresholds = cfg.fixed_schedule[iteration - 1]
         else:  # max-upc-delta; clamp so zero-count bits never qualify
             thresholds = max(int(upc.max()) - cfg.delta, 1)
         flips = np.nonzero(upc >= thresholds)[0]

@@ -20,7 +20,9 @@ leading term per step (``_xgcd``) finds the inverse; when 2 has order r - 1
 modulo r, x^r - 1 = (x + 1) Phi_r with Phi_r = 1 + x + ... + x^(r-1)
 irreducible, so odd weight below r is also sufficient (the all-ones row is
 Phi_r itself), which lets ``qc.sample_parity_check`` skip the inversion;
-and a row vector times a circulant is again a polynomial product.
+and a row vector times a circulant is again a polynomial product, so a row
+vector times a column of circulants is a sum of them (``_block_dot``, shared
+by ``BlockMatrix.vec_mul``, the syndrome and the decoder).
 
 Every product goes through ``_mul_mod``, which has two branches on the
 weight of the lighter operand: up to ``_SPARSE_MAX_WEIGHT`` (the rows of H)
@@ -117,21 +119,9 @@ class BitVector:
             self.slice(i, size) for i in range(0, self.length, size)
         )
 
-    def rotated(self, shift: int) -> "BitVector":
-        """Cyclic right shift: result bit j is input bit (j - shift) mod length."""
-        return BitVector(self.length, _rot(self.value, shift, self.length))
-
 
 # ---------------------------------------------------------------------------
 # polynomial helpers on raw ints (coefficients of GF(2)[x])
-
-
-def _rot(v: int, shift: int, r: int) -> int:
-    shift %= r
-    if shift == 0:
-        return v
-    mask = (1 << r) - 1
-    return ((v << shift) | (v >> (r - shift))) & mask
 
 
 # Lighter operands up to this weight take the set-bit loop, heavier ones the
@@ -168,6 +158,16 @@ def _mul_mod(a: int, b: int, r: int) -> int:
             if byte:
                 acc ^= tab[byte] << 8 * j
     return (acc & ((1 << r) - 1)) ^ (acc >> r)
+
+
+def _block_dot(y: int, rows: list[int], r: int) -> int:
+    """sum_i y_i(x) * rows[i](x) mod (x^r - 1) over the r-bit blocks y_i of
+    the packed word y: a row vector times one column of circulants."""
+    mask = (1 << r) - 1
+    acc = 0
+    for i, row in enumerate(rows):
+        acc ^= _mul_mod((y >> i * r) & mask, row, r)
+    return acc
 
 
 def _transpose_row(v: int, r: int) -> int:
@@ -264,13 +264,6 @@ class CirculantBlock:
         )
 
 
-def vec_mul(v: BitVector, block: CirculantBlock) -> BitVector:
-    """Row vector times circulant; equals the polynomial product v(x)a(x)."""
-    if v.length != block.r:
-        raise ValueError("vector length differs from block size")
-    return BitVector(block.r, _mul_mod(v.value, block.row0.value, block.r))
-
-
 # ---------------------------------------------------------------------------
 # block matrices
 
@@ -332,17 +325,15 @@ class BlockMatrix:
         return BlockMatrix(tuple(rows))
 
     def vec_mul(self, v: BitVector) -> BitVector:
-        """Row vector (block_rows * r bits) times this matrix."""
-        if v.length != self.block_rows * self.r:
+        """Row vector (block_rows * r bits) times this matrix: output block j
+        is ``_block_dot`` of v with block column j."""
+        r = self.r
+        if v.length != self.block_rows * r:
             raise ValueError("vector length mismatch")
-        parts = v.chunks(self.r)
-        out = BitVector(0, 0)
+        out = 0
         for j in range(self.block_cols):
-            acc = BitVector(self.r, 0)
-            for i in range(self.block_rows):
-                acc = acc ^ vec_mul(parts[i], self.blocks[i][j])
-            out = out.concat(acc)
-        return out
+            out |= _block_dot(v.value, [row[j].row0.value for row in self.blocks], r) << j * r
+        return BitVector(self.block_cols * r, out)
 
     def inverse(self) -> "BlockMatrix":
         """Block Gauss-Jordan over the circulant ring.

@@ -26,7 +26,6 @@ quasi-cyclic codes hand the attacker r shifted targets for key recovery
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -180,9 +179,6 @@ class IsdCostReport:
             "params": self.params,
             "doomDivisorLog2": self.doom_divisor_log2,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), separators=(",", ":"))
 
 
 def isd_cost(algorithm: str, n: int, k: int, w: int) -> IsdCostReport:

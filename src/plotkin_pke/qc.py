@@ -24,7 +24,7 @@ from .gf2 import (
     BlockMatrix,
     CirculantBlock,
     NotInvertibleError,
-    _mul_mod,
+    _block_dot,
     _transpose_row,
     sample_fixed_weight,
 )
@@ -173,18 +173,10 @@ def _transposed_rows(h: QcParityCheck) -> list[int]:
     return [_transpose_row(b.row0.value, h.params.r) for b in h.blocks]
 
 
-def _syndrome_int(y: int, h_t_rows: list[int], r: int) -> int:
-    """H y^T on a packed word: sum of its blocks y_i(x) times the rows H_i^T."""
-    mask = (1 << r) - 1
-    s = 0
-    for i, ht in enumerate(h_t_rows):
-        s ^= _mul_mod((y >> i * r) & mask, ht, r)
-    return s
-
-
 def syndrome(h: QcParityCheck, word: BitVector) -> BitVector:
-    """H x^T as a length-r vector; zero exactly on codewords."""
+    """H x^T as a length-r vector; zero exactly on codewords.  It is the sum
+    of the blocks x_i(x) times the rows H_i^T, through ``gf2._block_dot``."""
     if word.length != h.params.n:
         raise ValueError("word length differs from code length")
     r = h.params.r
-    return BitVector(r, _syndrome_int(word.value, _transposed_rows(h), r))
+    return BitVector(r, _block_dot(word.value, _transposed_rows(h), r))

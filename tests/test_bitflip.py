@@ -134,16 +134,13 @@ def test_decode_quasi_cyclic_equivariance(make_rng):
     y = cw ^ sample_fixed_weight(rng, 202, 3)
     base = decode(h, y, classic_bf_config())
     assert base.success
+    zero = CirculantBlock.zero(101)
     for shift in (1, 17, 100):
-        rotated = BitVector(0, 0)
-        for chunk in y.chunks(101):
-            rotated = rotated.concat(chunk.rotated(shift))
-        out = decode(h, rotated, classic_bf_config())
+        xs = CirculantBlock(101, BitVector(101, 1 << shift))  # x^shift
+        rotate = BlockMatrix(((xs, zero), (zero, xs)))  # shifts each block
+        out = decode(h, rotate.vec_mul(y), classic_bf_config())
         assert out.success
-        expect = BitVector(0, 0)
-        for chunk in base.codeword.chunks(101):
-            expect = expect.concat(chunk.rotated(shift))
-        assert out.codeword == expect
+        assert out.codeword == rotate.vec_mul(base.codeword)
 
 
 def test_decode_length_mismatch(make_rng):
@@ -158,22 +155,27 @@ def test_decode_length_mismatch(make_rng):
 
 
 def test_decode_known_answer():
-    # (success, iterations, error) of 380 decodes: seeded toy codeword +
-    # error words under both variants and all three threshold rules, so
-    # backflip undo and expiry, stalls and max_iters all occur, and the
-    # hopeless words of the r = 101 attack demo
-    schedules = {"mdpc": (9, 9) + (8,) * 98, "ldpc": (4,) * 100}
+    # (success, iterations, error) of 500 decodes: seeded codeword + error
+    # words under both variants and both threshold rules, so backflip undo
+    # and expiry, stalls and max_iters all occur, and the hopeless words of
+    # the r = 101 attack demo.  Classic majority stalls at toy ldpc t = 16;
+    # backflip waits on pending flips at r = 101, t = 8
+    configs = (
+        backflip_config(),
+        classic_bf_config(),
+        classic_bf_config(threshold="max-upc-delta", delta=0),
+        backflip_config(threshold="max-upc-delta", delta=1),
+    )
+    sets = (
+        (TOY_MDPC, (18, 22, 26), 12),
+        (TOY_LDPC, (1, 2, 4, 16), 12),
+        (QcParams(2, 101, 6, "ldpc"), (8,), 36),
+    )
     record = []
-    for params, weights in ((TOY_MDPC, (18, 22, 26)), (TOY_LDPC, (1, 2, 4))):
-        configs = (
-            backflip_config(),
-            classic_bf_config(),
-            classic_bf_config(threshold="max-upc-delta", delta=0),
-            backflip_config(threshold="max-upc-delta", delta=1),
-            backflip_config(threshold="fixed", fixed_schedule=schedules[params.flavor]),
-        )
+    stalled = exhausted = 0
+    for params, weights, count in sets:
         for t in weights:
-            for i in range(12):
+            for i in range(count):
                 rng = substream(bytes([params.w, t]) * 16, i)
                 h = sample_parity_check(rng, params)
                 cw = encode(derive_generator(h), BitVector(params.k, rng.take_bits(params.k)))
@@ -182,6 +184,9 @@ def test_decode_known_answer():
                     out = decode(h, y, cfg)
                     error = out.error_vector.value if out.success else None
                     record.append([out.success, out.iterations, error])
+                    if not out.success:
+                        stalled += out.iterations < cfg.max_iters
+                        exhausted += out.iterations == cfg.max_iters
     lab = SchemeParams(2, 101, 14, 6, 4, 4)
     for i in range(10):
         rng = substream(b"\xa7" * 32, i)
@@ -192,17 +197,16 @@ def test_decode_known_answer():
             out = decode(rec.parity, word, ldpc_decoder_config(lab))
             error = out.error_vector.value if out.success else None
             record.append([out.success, out.iterations, error])
+    assert len(record) == 500
+    assert stalled >= 1 and exhausted >= 1  # both failure branches stay covered
     digest = hashlib.sha256(json.dumps(record).encode()).hexdigest()
-    assert digest == "9b6166abeb7fa19fe8bb424ebe8b29099d186a8278d1349040d7b22a71bcc30c"
+    assert digest == "20d47b3941d92b28588ff71cf07444918d4b5db3857920cb184556f20a707856"
 
 
-def test_decode_fixed_and_max_upc_rules(make_rng):
+def test_decode_max_upc_rule(make_rng):
     rng, h, gen = _instance(make_rng, 10, TOY_MDPC)
     cw = encode(gen, BitVector(523, rng.take_bits(523)))
     y = cw ^ sample_fixed_weight(rng, 1046, 5)
-    fixed = DecoderConfig(variant="classic-bf", threshold="fixed",
-                          max_iters=10, fixed_schedule=(13,) + (8,) * 9)
-    assert decode(h, y, fixed).success
     maxupc = DecoderConfig(variant="classic-bf", threshold="max-upc-delta",
                            max_iters=30, delta=0)
     out = decode(h, y, maxupc)
@@ -216,10 +220,6 @@ def test_config_validation():
         DecoderConfig(threshold="entropy")
     with pytest.raises(ValueError):
         DecoderConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        DecoderConfig(threshold="fixed", max_iters=3, fixed_schedule=(5, 5))
-    with pytest.raises(ValueError):
-        DecoderConfig(threshold="fixed", max_iters=2, fixed_schedule=(5, 0))
     with pytest.raises(ValueError):
         DecoderConfig(delta=-1)
 
@@ -359,11 +359,12 @@ def test_select_t_budget_precondition():
 
 
 def test_select_t_raises_when_nothing_qualifies():
-    # threshold above the column weight: no flip ever happens, so every
-    # nonzero error weight fails and not even t = 1 can qualify
+    # delta = 100 clamps the threshold to 1, so one iteration flips every
+    # bit on an unsatisfied check: a weight-1 error's 3 checks reach at
+    # least 5 other bits, no trial recovers e, and not even t = 1 qualifies
     params = QcParams(2, 13, 6, "ldpc")
-    stuck = DecoderConfig(variant="classic-bf", threshold="fixed",
-                          max_iters=1, fixed_schedule=(100,))
+    stuck = DecoderConfig(variant="classic-bf", threshold="max-upc-delta",
+                          max_iters=1, delta=100)
     with pytest.raises(SelectionError):
         select_t_for_dfr(params, 0.9, 12, stuck, RandomStream(b"\x09" * 32))
 

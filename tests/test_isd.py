@@ -112,7 +112,7 @@ def test_doom_never_increases_workfactor():
 
 def test_report_json_shape():
     rep = msgrec_workfactor(preset("cca128"))
-    record = json.loads(rep.to_json())
+    record = json.loads(json.dumps(rep.to_dict()))
     assert set(record) == {
         "algorithm", "n", "k", "w", "log2WorkFactor", "params", "doomDivisorLog2",
     }

@@ -273,7 +273,7 @@ def test_attack_report_json(make_rng):
     m = BitVector(LAB.plaintext_bits, rng.take_bits(LAB.plaintext_bits))
     ct = encrypt(pk, m, rng)
     report = weak_key_attack_demo(pk, ct, m, rng)
-    record = json.loads(report.to_json())
+    record = json.loads(json.dumps(report.to_dict()))
     assert set(record) == {
         "n0", "r", "w2", "rowFound", "recoveredRowWeight", "orthogonal",
         "rotationsComplete", "sternIterations", "directDecodeSuccess",
