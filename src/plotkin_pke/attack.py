@@ -79,16 +79,15 @@ class AttackReport:
         }
 
 
-def systematic_public_generator(pk: PublicKey, coordinate: int = 2):
-    """Dense systematic form [I_k | A] of a published generator.
+def systematic_public_generator(pk: PublicKey):
+    """Dense systematic form [I_k | A] of the published ldpc generator SG2.
 
     This is the attacker's first move.  The scrambler is public, as the
-    left k0 x k0 block of SG = [S | S A], so S^-1 SG = [I | A] over the
+    left k0 x k0 block of SG2 = [S | S A], so S^-1 SG2 = [I | A] over the
     circulant ring; a non-invertible S raises ``NotInvertibleError``.
     """
-    grid = pk.sg1 if coordinate == 1 else pk.sg2
-    s = BlockMatrix(tuple(row[:pk.params.k0] for row in grid.blocks))
-    return dense.expand_block_matrix(s.inverse() @ grid)
+    s = BlockMatrix(tuple(row[:pk.params.k0] for row in pk.sg2.blocks))
+    return dense.expand_block_matrix(s.inverse() @ pk.sg2)
 
 
 def rotations_parity_check(pk_params, row: BitVector) -> QcParityCheck:
@@ -116,7 +115,7 @@ def recover_dual_structure(
     pk: PublicKey, rng: RandomStream, max_iterations: int = 500
 ) -> RecoveredDual | None:
     """Stern-search the public second coordinate for a weight-<=w2 dual row."""
-    gen_sys = systematic_public_generator(pk, coordinate=2)
+    gen_sys = systematic_public_generator(pk)
     result: SternResult = stern_search(
         gen_sys, pk.params.w2, rng, max_iterations=max_iterations
     )

@@ -34,6 +34,7 @@ import os
 from bisect import bisect_right
 from dataclasses import dataclass
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import numpy as np
 from scipy.stats import beta as _beta
@@ -268,23 +269,13 @@ def estimate_dfr(params: QcParams, t: int, cfg: DecoderConfig, trials: int,
         raise ValueError("trials must be positive")
     workers = min(workers, trials, os.cpu_count() or 1)
     seed = rng.seed
+    job = partial(_dfr_range, params, t, cfg, seed)
     if workers <= 1:
-        failures = _dfr_range(params, t, cfg, seed, 0, trials)
+        failures = job(0, trials)
     else:
         bounds = [trials * i // workers for i in range(workers + 1)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            counts = list(
-                pool.map(
-                    _dfr_range,
-                    [params] * workers,
-                    [t] * workers,
-                    [cfg] * workers,
-                    [seed] * workers,
-                    bounds[:-1],
-                    bounds[1:],
-                )
-            )
-        failures = sum(counts)
+            failures = sum(pool.map(job, bounds[:-1], bounds[1:]))
     ci_low, ci_high = clopper_pearson(failures, trials)
     return DfrReport(
         params=params,
@@ -305,10 +296,13 @@ def select_t_for_dfr(params: QcParams, target_dfr: float, budget: int,
 
     An error weight qualifies when the 95% Clopper-Pearson upper bound on
     its DFR over ``budget`` trials is <= target_dfr.  The scan doubles t
-    upward until a weight disqualifies (the upper bracket), then walks down
-    linearly and returns the first qualifying weight.  Measurements abort
-    early once the accumulated failures already push the final upper bound
-    past the target, which keeps clearly-bad weights cheap.
+    upward, keeping lo, the last power of two that qualified, until a
+    weight disqualifies or passes n (the upper bracket hi).  It then walks
+    down from min(hi - 1, n) to lo + 1 and returns the first qualifying
+    weight, or lo if none does, so each weight is measured at most once.
+    Measurements abort early once the accumulated failures already push
+    the final upper bound past the target, which keeps clearly-bad weights
+    cheap.
 
     Trials for weight t use substreams of derive(seed, t), so measurements
     for a given (seed, t, budget) are identical across calls; with a shared
@@ -326,25 +320,19 @@ def select_t_for_dfr(params: QcParams, target_dfr: float, budget: int,
     # stay below this (budget + 1: nothing disqualifies)
     stop_at = 1 + bisect_right(range(1, budget + 1), target_dfr,
                                key=lambda f: clopper_pearson(f, budget)[1])
-    cache: dict[int, bool] = {}
 
     def qualifies(t: int) -> bool:
-        if t not in cache:
-            t_seed = derive_substream_seed(seed, t)
-            cache[t] = _dfr_range(params, t, cfg, t_seed, 0, budget, stop_at) < stop_at
-        return cache[t]
+        t_seed = derive_substream_seed(seed, t)
+        return _dfr_range(params, t, cfg, t_seed, 0, budget, stop_at) < stop_at
 
     n = params.n
-    bracket = None
-    t = 1
-    while t <= n:
-        if not qualifies(t):
-            bracket = t
-            break
-        t *= 2
-    start = n if bracket is None else bracket - 1
-    for t in range(start, 0, -1):
+    lo, hi = 0, 1
+    while hi <= n and qualifies(hi):
+        lo, hi = hi, 2 * hi
+    for t in range(min(hi - 1, n), lo, -1):
         if qualifies(t):
             return t
+    if lo:
+        return lo
     raise SelectionError(
         f"no error weight t >= 1 meets target {target_dfr:g} within {budget} trials")

@@ -18,16 +18,16 @@ Cost accounting, fixed package-wide: one unit per row-level operation
 elimination charged at (n-k)^2 * n.  Binomials are evaluated through
 log-gamma, so instances with n in the tens of thousands cost microseconds.
 
-On top of the raw models sit the two attack work factors for the scheme:
-quasi-cyclic codes hand the attacker r shifted targets for key recovery
-(divide by r) and sqrt(r) equivalent instances for message recovery
-(divide by sqrt(r)).
+``isd_cost`` checks the instance and runs one model.  The two attack work
+factors for the scheme are its report with a DOOM divisor set: quasi-cyclic
+codes hand the attacker r shifted targets for key recovery (divide by r)
+and sqrt(r) equivalent instances for message recovery (divide by sqrt(r)).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .scheme import SchemeParams
 
@@ -69,23 +69,13 @@ def _scan_window(cost_at, lmax: int) -> tuple[float, int]:
     return cost_at(best_l), best_l
 
 
-def _validate(n: int, k: int, w: int) -> None:
-    if not 0 < k < n:
-        raise ValueError("need 0 < k < n")
-    if not 0 <= w <= n:
-        raise ValueError("need 0 <= w <= n")
-
-
-def prange_cost(n: int, k: int, w: int) -> tuple[float, dict]:
-    _validate(n, k, w)
+def _prange_cost(n: int, k: int, w: int) -> tuple[float, dict]:
+    # +inf when the w errors cannot all miss an information set
     iters = log2_binom(n, w) - log2_binom(n - k, w)
-    if iters == math.inf or math.isnan(iters):
-        return math.inf, {}
     return iters + _log2_gauss(n, k), {}
 
 
-def stern_cost(n: int, k: int, w: int) -> tuple[float, dict]:
-    _validate(n, k, w)
+def _stern_cost(n: int, k: int, w: int) -> tuple[float, dict]:
     gauss = _log2_gauss(n, k)
     half_a, half_b = (k + 1) // 2, k // 2
     log_cnw = log2_binom(n, w)
@@ -94,11 +84,11 @@ def stern_cost(n: int, k: int, w: int) -> tuple[float, dict]:
         l_list_a = log2_binom(half_a, p)
         l_list_b = log2_binom(half_b, p)
 
-        def cost_at(l, _la=l_list_a, _lb=l_list_b, _p=p):
-            succ = _la + _lb + log2_binom(n - k - l, w - 2 * _p) - log_cnw
+        def cost_at(l):
+            succ = l_list_a + l_list_b + log2_binom(n - k - l, w - 2 * p) - log_cnw
             if succ == -math.inf:
                 return math.inf
-            per_iter = _log2_sum(gauss, _log2_sum(_la, _lb), _la + _lb - l)
+            per_iter = _log2_sum(gauss, _log2_sum(l_list_a, l_list_b), l_list_a + l_list_b - l)
             return per_iter - succ
 
         lmax = n - k - max(0, w - 2 * p)
@@ -110,8 +100,7 @@ def stern_cost(n: int, k: int, w: int) -> tuple[float, dict]:
     return best
 
 
-def bjmm2_cost(n: int, k: int, w: int) -> tuple[float, dict]:
-    _validate(n, k, w)
+def _bjmm2_cost(n: int, k: int, w: int) -> tuple[float, dict]:
     gauss = _log2_gauss(n, k)
     log_cnw = log2_binom(n, w)
     best = (math.inf, {})
@@ -121,17 +110,19 @@ def bjmm2_cost(n: int, k: int, w: int) -> tuple[float, dict]:
             if p1 == 0 and p > 0:
                 continue
 
-            def cost_at(l, _p=p, _eps=eps, _p1=p1):
-                if _p1 > k + l:
+            def filtered_bits(l):
+                # r1 = floor(log2 #representations) capped to [0, l]; None if none
+                reps = log2_binom(p, p // 2) + log2_binom(k + l - p, eps)
+                return None if reps == -math.inf else max(0, min(int(reps), l))
+
+            def cost_at(l):
+                r1 = filtered_bits(l)  # also None when p1 > k + l
+                if r1 is None:
                     return math.inf
-                reps = log2_binom(_p, _p // 2) + log2_binom(k + l - _p, _eps)
-                if reps == -math.inf:
-                    return math.inf
-                r1 = max(0, min(int(reps), l))
-                base = log2_binom(k + l, _p1) / 2  # meet-in-the-middle halves
-                merged = log2_binom(k + l, _p1) - r1
+                base = log2_binom(k + l, p1) / 2  # meet-in-the-middle halves
+                merged = log2_binom(k + l, p1) - r1
                 final = 2 * merged - (l - r1)
-                succ = log2_binom(k + l, _p) + log2_binom(n - k - l, w - _p) - log_cnw
+                succ = log2_binom(k + l, p) + log2_binom(n - k - l, w - p) - log_cnw
                 if succ == -math.inf:
                     return math.inf
                 per_iter = _log2_sum(gauss, 2 + base, 1 + merged, final)
@@ -142,16 +133,14 @@ def bjmm2_cost(n: int, k: int, w: int) -> tuple[float, dict]:
                 continue
             cost, l_opt = _scan_window(cost_at, lmax)
             if cost < best[0]:
-                reps = log2_binom(p, p // 2) + log2_binom(k + l_opt - p, eps)
-                r1 = max(0, min(int(reps), l_opt)) if reps != -math.inf else 0
-                best = (cost, {"p": p, "eps": eps, "l": l_opt, "r1": r1})
+                best = (cost, {"p": p, "eps": eps, "l": l_opt, "r1": filtered_bits(l_opt)})
     return best
 
 
 _COST_FUNCTIONS = {
-    "prange": prange_cost,
-    "stern": stern_cost,
-    "bjmm2": bjmm2_cost,
+    "prange": _prange_cost,
+    "stern": _stern_cost,
+    "bjmm2": _bjmm2_cost,
 }
 
 
@@ -182,8 +171,13 @@ class IsdCostReport:
 
 
 def isd_cost(algorithm: str, n: int, k: int, w: int) -> IsdCostReport:
+    """Raw model cost of finding a weight-w word in an [n, k] code."""
     if algorithm not in _COST_FUNCTIONS:
         raise ValueError(f"algorithm must be one of {ALGORITHMS}")
+    if not 0 < k < n:
+        raise ValueError("need 0 < k < n")
+    if not 0 <= w <= n:
+        raise ValueError("need 0 <= w <= n")
     cost, params = _COST_FUNCTIONS[algorithm](n, k, w)
     return IsdCostReport(algorithm=algorithm, n=n, k=k, w=w, log2_cost=cost, params=params)
 
@@ -192,31 +186,13 @@ def keyrec_workfactor(params: SchemeParams) -> IsdCostReport:
     """Cheapest of the three models for finding one weight-w2 dual row,
     with the full factor-r quasi-cyclic discount: every blockwise rotation
     of a dual row is another target."""
-    n, k = params.n, params.k
-    reports = [isd_cost(alg, n, k, params.w2) for alg in ALGORITHMS]
+    reports = [isd_cost(alg, params.n, params.k, params.w2) for alg in ALGORITHMS]
     best = min(reports, key=lambda rep: rep.log2_cost)
-    return IsdCostReport(
-        algorithm=best.algorithm,
-        n=n,
-        k=k,
-        w=params.w2,
-        log2_cost=best.log2_cost,
-        doom_divisor_log2=math.log2(params.r),
-        params=best.params,
-    )
+    return replace(best, doom_divisor_log2=math.log2(params.r))
 
 
 def msgrec_workfactor(params: SchemeParams) -> IsdCostReport:
     """Depth-2 representation ISD on the weight-t1 decoding instance, with
     the sqrt(r) discount for the rotated copies of one syndrome."""
-    n, k = params.n, params.k
-    base = isd_cost("bjmm2", n, k, params.t1)
-    return IsdCostReport(
-        algorithm=base.algorithm,
-        n=n,
-        k=k,
-        w=params.t1,
-        log2_cost=base.log2_cost,
-        doom_divisor_log2=math.log2(params.r) / 2,
-        params=base.params,
-    )
+    base = isd_cost("bjmm2", params.n, params.k, params.t1)
+    return replace(base, doom_divisor_log2=math.log2(params.r) / 2)

@@ -83,8 +83,6 @@ class QcParams:
         if weights[-1] % 2 == 0:
             weights[0] -= 1
             weights[-1] += 1
-        if weights[0] < 0:
-            raise ValueError("row weight too small to keep the last block odd")
         return tuple(weights)
 
 

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from plotkin_pke import dense
+from plotkin_pke import bitflip, dense
 from plotkin_pke.attack import recover_dual_structure
 from plotkin_pke.bitflip import (
     DecoderConfig,
@@ -347,10 +347,30 @@ def test_backflip_point_estimate_below_target_523_30_18():
 # --- select_t_for_dfr -----------------------------------------------------------
 
 
-def test_select_t_trivial_target_accepts_bracket():
+@pytest.fixture
+def measured(monkeypatch):
+    """The error weights select_t_for_dfr measures, in order."""
+    weights = []
+    measure = bitflip._dfr_range
+
+    def recording(params, t, *args):
+        weights.append(t)
+        return measure(params, t, *args)
+
+    monkeypatch.setattr(bitflip, "_dfr_range", recording)
+    return weights
+
+
+def test_select_t_trivial_target_accepts_bracket(measured):
     params = QcParams(2, 101, 6, "ldpc")
     t = select_t_for_dfr(params, 1.0, 20, classic_bf_config(), RandomStream(b"\x06" * 32))
     assert t == params.n
+    assert measured == [1, 2, 4, 8, 16, 32, 64, 128, 202]
+    measured.clear()
+    # n = 26 is not a power of two: the doubling stops past n, the walk starts at n
+    params = QcParams(2, 13, 6, "ldpc")
+    assert select_t_for_dfr(params, 1.0, 20, classic_bf_config(), RandomStream(b"\x08" * 32)) == 26
+    assert measured == [1, 2, 4, 8, 16, 26]
 
 
 def test_select_t_budget_precondition():
@@ -369,12 +389,27 @@ def test_select_t_raises_when_nothing_qualifies():
         select_t_for_dfr(params, 0.9, 12, stuck, RandomStream(b"\x09" * 32))
 
 
-def test_select_t_monotone_in_target():
+def test_select_t_monotone_in_target(measured):
     params = QcParams(2, 149, 10, "mdpc")
     loose = select_t_for_dfr(params, 0.5, 400, backflip_config(), RandomStream(b"\x08" * 32))
+    assert measured == [1, 2, 4, 8, 16, 15, 14, 13, 12]
+    measured.clear()
     tight = select_t_for_dfr(params, 0.05, 400, backflip_config(), RandomStream(b"\x08" * 32))
+    assert measured == [1, 2, 4, 8, 7, 6, 5]
     assert loose >= tight
     assert tight >= 1
+
+
+def test_select_t_walk_ends(measured):
+    # the downward walk runs from below the first failing power of two to
+    # just above the last qualifying one, which is returned if none between does
+    t = select_t_for_dfr(TOY_MDPC, 0.05, 400, backflip_config(), RandomStream(b"\x08" * 32))
+    assert t == 19
+    assert measured == [1, 2, 4, 8, 16, 32, *range(31, 18, -1)]
+    measured.clear()
+    t = select_t_for_dfr(TOY_LDPC, 0.025, 400, classic_bf_config(), RandomStream(b"\x08" * 32))
+    assert t == 1
+    assert measured == [1, 2]
 
 
 def test_select_t_ldpc_width14_baseline():

@@ -1,5 +1,6 @@
-"""Source hygiene: no module imports a name it never uses, and no private
-module-level name of the package goes unread."""
+"""Source hygiene: no module imports a name it never uses, no private
+module-level name of the package goes unread, and no public one is read by
+tests alone."""
 
 import ast
 from pathlib import Path
@@ -55,8 +56,8 @@ def test_no_unused_imports():
     assert found == []
 
 
-def _private_names(stmt: ast.stmt) -> list[str]:
-    """Private (underscore, not dunder) names a module-level statement defines."""
+def _defined_names(stmt: ast.stmt) -> list[str]:
+    """Names, dunders left out, that a module-level statement defines."""
     if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
         names = [stmt.name]
     elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
@@ -64,7 +65,7 @@ def _private_names(stmt: ast.stmt) -> list[str]:
         names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
     else:
         return []
-    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+    return [n for n in names if not n.startswith("__")]
 
 
 def _reads(node: ast.AST) -> set[str]:
@@ -80,16 +81,19 @@ def _reads(node: ast.AST) -> set[str]:
     return out
 
 
-def dead_private_names(source: str, elsewhere: set[str]) -> list[tuple[int, str]]:
-    """(line, name) for each private module-level name of ``source`` that
-    no other statement of it reads and that is not in ``elsewhere``."""
+def dead_names(source: str, elsewhere: set[str], private: bool = True) -> list[tuple[int, str]]:
+    """(line, name) for each private (or, with ``private=False``, public)
+    module-level name of ``source`` that no other statement of it reads and
+    that is not in ``elsewhere``."""
     body = ast.parse(source).body
     reads = [_reads(stmt) for stmt in body]
     return [
         (stmt.lineno, name)
         for i, stmt in enumerate(body)
-        for name in _private_names(stmt)
-        if name not in elsewhere and not any(name in r for j, r in enumerate(reads) if j != i)
+        for name in _defined_names(stmt)
+        if name.startswith("_") == private
+        and name not in elsewhere
+        and not any(name in r for j, r in enumerate(reads) if j != i)
     ]
 
 
@@ -101,7 +105,7 @@ def test_dead_private_names_detected():
         "def _kept():\n    pass\n"
         "def public():\n    return _Read\n"
     )
-    assert dead_private_names(source, {"_kept", "_PAIR"}) == [(2, "_UNUSED"), (4, "_recursive")]
+    assert dead_names(source, {"_kept", "_PAIR"}) == [(2, "_UNUSED"), (4, "_recursive")]
 
 
 def test_no_dead_private_names():
@@ -114,5 +118,34 @@ def test_no_dead_private_names():
     for path in sorted((ROOT / PACKAGE).rglob("*.py")):
         elsewhere = set().union(*(names for p, names in reads.items() if p != path))
         found += [f"{path.relative_to(ROOT)}:{line} {name}"
-                  for line, name in dead_private_names(path.read_text(), elsewhere)]
+                  for line, name in dead_names(path.read_text(), elsewhere)]
+    assert found == []
+
+
+def test_dead_public_names_detected():
+    source = (
+        "USED = 1\nONLY_TESTS, _HIDDEN = 2, 3\n__version__ = '1'\n"
+        "def helper():\n    return USED\n"
+        "class Kept:\n    pass\n"
+    )
+    assert dead_names(source, {"Kept"}, private=False) == [(2, "ONLY_TESTS"), (4, "helper")]
+
+
+def test_no_public_names_only_tests_read():
+    # re-exports in __init__ and perfbench's own tests do not count as reads;
+    # dense.py is the oracle module, which only tests are meant to call
+    skipped = ("__init__.py", "test_perfbench.py")
+    reads = {
+        path: _reads(ast.parse(path.read_text()))
+        for folder in ("src", "scripts", "perfbench")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+        if path.name not in skipped
+    }
+    found = []
+    for path in sorted((ROOT / PACKAGE).rglob("*.py")):
+        if path.name in (*skipped, "dense.py"):
+            continue
+        elsewhere = set().union(*(names for p, names in reads.items() if p != path))
+        found += [f"{path.relative_to(ROOT)}:{line} {name}"
+                  for line, name in dead_names(path.read_text(), elsewhere, private=False)]
     assert found == []

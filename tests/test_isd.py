@@ -1,5 +1,6 @@
 """ISD cost models: exact oracles, algorithm ordering, DOOM accounting."""
 
+import hashlib
 import json
 import math
 
@@ -117,3 +118,28 @@ def test_report_json_shape():
         "algorithm", "n", "k", "w", "log2WorkFactor", "params", "doomDivisorLog2",
     }
     assert record["n"] == 23558 and record["k"] == 11779 and record["w"] == 134
+
+
+def _rounded(value):
+    """Floats rounded to 9 decimals, so the digest does not depend on libm;
+    ints, strings and the ``params`` grid points stay exact."""
+    if isinstance(value, float):
+        return round(value, 9)
+    if isinstance(value, dict):
+        return {key: _rounded(v) for key, v in value.items()}
+    return value
+
+
+def test_reports_known_answer():
+    reports = []
+    for name in ("toy", "cca128"):
+        params = preset(name)
+        reports += [isd_cost(alg, params.n, params.k, w)
+                    for w in (params.w2, params.t1) for alg in ALGORITHMS]
+        reports += [keyrec_workfactor(params), msgrec_workfactor(params)]
+    for n, k, w in ((6, 3, 1), (1024, 512, 0), (100, 50, 60), (3000, 1500, 50)):
+        reports += [isd_cost(alg, n, k, w) for alg in ALGORITHMS]
+    assert any(rep.log2_cost == math.inf for rep in reports)
+    blob = json.dumps([_rounded(rep.to_dict()) for rep in reports])
+    digest = hashlib.sha256(blob.encode()).hexdigest()
+    assert digest == "ac51c6f8acc426d97c5a85c811aa52cbbc9bca37ae79fd034433b0d3fd6bc03e"

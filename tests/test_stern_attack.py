@@ -162,14 +162,13 @@ def test_stern_input_validation(make_rng):
 
 
 def test_systematic_public_generator_matches_dense_reduction():
-    # S is the public left block of both generators, so S^-1 SG over the
-    # ring is exactly the row reduction of the expanded generator
+    # S is the public left block of SG2, so S^-1 SG2 over the ring is
+    # exactly the row reduction of the expanded generator
     for i, params in enumerate((LAB, SchemeParams(3, 101, 14, 6, 4, 4))):
         pk, _ = keygen(params, substream(b"\x5f" * 32, i))
-        for coordinate, grid in ((1, pk.sg1), (2, pk.sg2)):
-            expect = dense.systematic_form(dense.expand_block_matrix(grid))
-            got = systematic_public_generator(pk, coordinate)
-            assert got.dtype == expect.dtype and np.array_equal(got, expect)
+        expect = dense.systematic_form(dense.expand_block_matrix(pk.sg2))
+        got = systematic_public_generator(pk)
+        assert got.dtype == expect.dtype and np.array_equal(got, expect)
     zero = BlockMatrix(((CirculantBlock.zero(LAB.r),) * 2,))
     with pytest.raises(NotInvertibleError):
         systematic_public_generator(PublicKey(LAB, zero, zero))
@@ -184,7 +183,7 @@ def test_recover_dual_structure_quasi_cyclic(make_rng):
     assert rec.complete
     assert rec.iterations >= 1
     # all r blockwise rotations annihilate the public generator, densely
-    gen_sys = systematic_public_generator(pk, coordinate=2)
+    gen_sys = systematic_public_generator(pk)
     h_dense = dense.expand_block_matrix(BlockMatrix((rec.parity.blocks,)))
     assert not dense.mat_mul(gen_sys, h_dense.T).any()
     assert dense.rank(h_dense) == LAB.r
