@@ -25,7 +25,7 @@ from . import wire
 from .attack import recover_dual_structure, weak_key_attack_demo
 from .bitflip import estimate_dfr, select_t_for_dfr
 from .gf2 import BitVector
-from .isd import ALGORITHMS, isd_cost, keyrec_workfactor, msgrec_workfactor
+from .isd import ALGORITHMS, isd_cost, work_factor
 from .presets import PRESETS, preset
 from .qc import GenerationError
 from .rng import RandomStream, substream
@@ -184,23 +184,20 @@ def _cmd_dfr(args) -> int:
 def _cmd_estimate(args) -> int:
     params = _params_from_args(args)
     n, k = params.n, params.k
-    per_algorithm = {
-        "keyRecovery": {
-            alg: isd_cost(alg, n, k, params.w2).to_dict() for alg in ALGORITHMS
-        },
-        "messageRecovery": {
-            alg: isd_cost(alg, n, k, params.t1).to_dict() for alg in ALGORITHMS
-        },
+    raw = {
+        attack: {alg: isd_cost(alg, n, k, w) for alg in ALGORITHMS}
+        for attack, w in (("keyRecovery", params.w2), ("messageRecovery", params.t1))
     }
-    keyrec = keyrec_workfactor(params)
-    msgrec = msgrec_workfactor(params)
     _print({
         "preset": args.preset,
         "n": n,
         "k": k,
-        "keyRecovery": keyrec.to_dict(),
-        "messageRecovery": msgrec.to_dict(),
-        "rawCosts": per_algorithm,
+        **{attack: work_factor(attack, reports, params.r).to_dict()
+           for attack, reports in raw.items()},
+        "rawCosts": {
+            attack: {alg: rep.to_dict() for alg, rep in reports.items()}
+            for attack, reports in raw.items()
+        },
     })
     return EXIT_OK
 

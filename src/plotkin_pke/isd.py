@@ -18,10 +18,12 @@ Cost accounting, fixed package-wide: one unit per row-level operation
 elimination charged at (n-k)^2 * n.  Binomials are evaluated through
 log-gamma, so instances with n in the tens of thousands cost microseconds.
 
-``isd_cost`` checks the instance and runs one model.  The two attack work
-factors for the scheme are its report with a DOOM divisor set: quasi-cyclic
-codes hand the attacker r shifted targets for key recovery (divide by r)
-and sqrt(r) equivalent instances for message recovery (divide by sqrt(r)).
+``isd_cost`` checks the instance and runs one model.  ``work_factor``
+turns the reports of one attack's instance into its work factor for the
+scheme: the cheapest model the attack counts, with a DOOM divisor set.
+Quasi-cyclic codes hand the attacker r shifted targets for key recovery
+(divide by r) and sqrt(r) equivalent instances for message recovery
+(divide by sqrt(r)).
 """
 
 from __future__ import annotations
@@ -182,17 +184,32 @@ def isd_cost(algorithm: str, n: int, k: int, w: int) -> IsdCostReport:
     return IsdCostReport(algorithm=algorithm, n=n, k=k, w=w, log2_cost=cost, params=params)
 
 
+# Per attack: the models whose cheapest report counts, and log2 of the
+# quasi-cyclic (DOOM) divisor as a multiple of log2 r.  Every blockwise
+# rotation of a dual row is another key-recovery target (divide by r); the
+# rotated copies of one syndrome are sqrt(r) equivalent message-recovery
+# instances (divide by sqrt(r)).
+_ATTACKS = {
+    "keyRecovery": (ALGORITHMS, 1.0),
+    "messageRecovery": (("bjmm2",), 0.5),
+}
+
+
+def work_factor(attack: str, reports: dict[str, IsdCostReport], r: int) -> IsdCostReport:
+    """The cheapest of the models ``attack`` counts among ``reports`` (the
+    raw reports of its instance, by algorithm), with its DOOM divisor."""
+    models, exponent = _ATTACKS[attack]
+    best = min((reports[alg] for alg in models), key=lambda rep: rep.log2_cost)
+    return replace(best, doom_divisor_log2=exponent * math.log2(r))
+
+
 def keyrec_workfactor(params: SchemeParams) -> IsdCostReport:
-    """Cheapest of the three models for finding one weight-w2 dual row,
-    with the full factor-r quasi-cyclic discount: every blockwise rotation
-    of a dual row is another target."""
-    reports = [isd_cost(alg, params.n, params.k, params.w2) for alg in ALGORITHMS]
-    best = min(reports, key=lambda rep: rep.log2_cost)
-    return replace(best, doom_divisor_log2=math.log2(params.r))
+    """Cheapest of the three models for finding one weight-w2 dual row."""
+    reports = {alg: isd_cost(alg, params.n, params.k, params.w2) for alg in ALGORITHMS}
+    return work_factor("keyRecovery", reports, params.r)
 
 
 def msgrec_workfactor(params: SchemeParams) -> IsdCostReport:
-    """Depth-2 representation ISD on the weight-t1 decoding instance, with
-    the sqrt(r) discount for the rotated copies of one syndrome."""
-    base = isd_cost("bjmm2", params.n, params.k, params.t1)
-    return replace(base, doom_divisor_log2=math.log2(params.r) / 2)
+    """Depth-2 representation ISD on the weight-t1 decoding instance."""
+    report = isd_cost("bjmm2", params.n, params.k, params.t1)
+    return work_factor("messageRecovery", {"bjmm2": report}, params.r)

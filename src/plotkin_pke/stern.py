@@ -7,16 +7,24 @@ two halves, and meets pairs of rows (Stern's p = 2) from each half in the
 middle on an ell-bit window; colliding pairs whose combined row has total
 weight <= the target are returned as dual codewords.
 
+The meet in the middle is one numpy sort-join per restart.  The reduced
+tails are packed into uint64 words, each half's pair sums are built at
+once from ``np.triu_indices`` tables, the right half is stably sorted by
+window key, and ``searchsorted`` pairs every left sum with its colliding
+right sums, which ``np.bitwise_count`` weighs together.  Of the hits, the
+search returns the first in a fixed order: left window keys by first
+appearance, then left pair, then right pair, with pairs in
+``itertools.combinations`` order.
+
 This is the runnable counterpart of the ``stern`` cost model in ``isd``:
 the estimators say how big the numbers get at cryptographic sizes, this
 module actually finds sparse parity rows at lab sizes (n of a few hundred
-to a few thousand) in seconds.
+to a few thousand); at r = 101 a restart takes a few milliseconds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -25,7 +33,8 @@ from .gf2 import BitVector
 from .isd import log2_binom
 from .rng import RandomStream
 
-P = 2  # rows taken from each half; the pair loops below unpack exactly two
+P = 2  # rows taken from each half; the pair tables below hold exactly two
+_JOIN_CHUNK = 1 << 12  # colliding pairs weighed at once; their arrays stay in cache
 
 
 @dataclass(frozen=True)
@@ -62,6 +71,59 @@ def _reduce_onto_information_set(
     return m, order
 
 
+def _pair_tables(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row pairs of the left half (rows < d // 2) and of the right half,
+    each as a (2, m) index array in ``combinations`` order."""
+    half = d // 2
+    return tuple(
+        np.array(np.triu_indices(stop - start, 1)) + start
+        for start, stop in ((0, half), (half, d))
+    )
+
+
+def _hits(
+    tail: np.ndarray, pairs: tuple[np.ndarray, np.ndarray], window: int, budget: int
+) -> np.ndarray:
+    """Every left pair and right pair of ``pairs`` whose sums of the 0/1
+    ``tail`` rows agree on the low ``window`` columns and together weigh at
+    most ``budget``, as rows (i, j, k, l) in the order the search takes
+    them: left window keys by first appearance, then left pair, then right
+    pair."""
+    packed = np.packbits(tail, axis=1, bitorder="little")
+    packed = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8)))
+    words = packed.view("<u8").T  # bit c of row i is bit c % 64 of words[c // 64, i]
+    left, right = pairs
+    lsum = words[:, left[0]] ^ words[:, left[1]]
+    rsum = words[:, right[0]] ^ words[:, right[1]]
+    mask = np.uint64((1 << window) - 1)
+    lkey, rkey = lsum[0] & mask, rsum[0] & mask
+
+    # join: each left sum meets the run of equal keys in the sorted right half
+    rorder = np.argsort(rkey, kind="stable")
+    rsorted = rkey[rorder]
+    lo = np.searchsorted(rsorted, lkey, "left")
+    counts = np.searchsorted(rsorted, lkey, "right") - lo
+    ends = np.cumsum(counts)
+    # left pairs go in runs of about _JOIN_CHUNK collisions, so memory stays
+    # bounded however unevenly the window keys fall
+    cuts = [0, *np.searchsorted(ends, np.arange(_JOIN_CHUNK, ends[-1], _JOIN_CHUNK), "right")]
+    found = []
+    for a, b in zip(cuts, cuts[1:] + [len(lkey)]):
+        c = counts[a:b]
+        li = np.repeat(np.arange(a, b), c)
+        within = np.arange(len(li)) - np.repeat(np.cumsum(c) - c, c)
+        ri = rorder[np.repeat(lo[a:b], c) + within]
+        both = lsum.take(li, axis=1) ^ rsum.take(ri, axis=1)
+        hit = np.bitwise_count(both).sum(axis=0, dtype=np.int64) <= budget
+        found.append((li[hit], ri[hit]))
+    li, ri = (np.concatenate(side) for side in zip(*found))
+    if li.size == 0:
+        return np.empty((0, 2 * P), dtype=np.intp)
+    _, first, key_of = np.unique(lkey, return_index=True, return_inverse=True)
+    rank = np.lexsort((ri, li, first[key_of[li]]))
+    return np.concatenate([left[:, li], right[:, ri]]).T[rank]
+
+
 def stern_search(
     gen_sys: np.ndarray,
     target_weight: int,
@@ -85,9 +147,8 @@ def stern_search(
     d = n - k
     if 2 * P > d:
         raise ValueError("dual dimension too small for two pairs of rows")
-    half = d // 2
-    window = max(1, min(n - d, int(max(2.0, log2_binom(half, P)))))
-    win_mask = (1 << window) - 1
+    window = max(1, min(n - d, int(max(2.0, log2_binom(d // 2, P)))))
+    pairs = _pair_tables(d)
 
     for iteration in range(1, max_iterations + 1):
         perm = list(range(n))
@@ -96,25 +157,13 @@ def stern_search(
         if reduced is None:
             continue
         m, order = reduced
-        packed = np.packbits(m[:, d:], axis=1, bitorder="little")  # the B part
-        tail_ints = [int.from_bytes(row.tobytes(), "little") for row in packed]
-
-        # each half maps a window value to the (row sum, pair) that give it
-        lists: list[dict[int, list[tuple[int, tuple[int, int]]]]] = [{}, {}]
-        for side, rows_idx in enumerate((range(0, half), range(half, d))):
-            for i, j in combinations(rows_idx, P):
-                acc = tail_ints[i] ^ tail_ints[j]
-                lists[side].setdefault(acc & win_mask, []).append((acc, (i, j)))
-
-        for key, left in lists[0].items():
-            for left_acc, lc in left:
-                for right_acc, rc in lists[1].get(key, ()):
-                    acc = left_acc ^ right_acc
-                    if 2 * P + acc.bit_count() > target_weight:
-                        continue
-                    support = [order[i] for i in lc + rc]
-                    support += [order[d + j] for j in BitVector(n - d, acc).support()]
-                    found = BitVector.from_support(n, support)
-                    return SternResult(found=found, iterations=iteration)
+        hits = _hits(m[:, d:], pairs, window, target_weight - 2 * P)
+        if len(hits):
+            rows = hits[0]
+            tail = np.bitwise_xor.reduce(m[rows, d:], axis=0)
+            support = [order[i] for i in rows]
+            support += [order[d + j] for j in np.flatnonzero(tail)]
+            found = BitVector.from_support(n, support)
+            return SternResult(found=found, iterations=iteration)
 
     return SternResult(found=None, iterations=max_iterations)

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: files, JSON output, exit codes."""
 
+import hashlib
 import json
 import tempfile
 from pathlib import Path
@@ -281,6 +282,17 @@ def test_estimate_reports_both_attacks(capsys):
     assert 125.9 <= record["messageRecovery"]["log2WorkFactor"] <= 131.9
     assert record["keyRecovery"]["log2WorkFactor"] < 64  # the advertised gap
     assert set(record["rawCosts"]["keyRecovery"]) == {"prange", "stern", "bjmm2"}
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("cca128", "86c9a190a5d0199e6ab1df70e950fb87a08d3cb5a6d334a319e5e313ee7406ad"),
+    ("toy", "98181fc3e891dea187b8a8139e14c99bf9f690925fa6b30a9a084f3a13abf9c8"),
+])
+def test_estimate_known_answer(capsys, name, digest):
+    # the whole JSON, work factors derived from the raw reports included
+    code, out, _ = _run(capsys, ["estimate", "--preset", name])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_attack_demo_json(capsys):

@@ -2,11 +2,14 @@
 
 import hashlib
 import json
+from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
-from plotkin_pke import dense
+from plotkin_pke import dense, stern
 from plotkin_pke.attack import (
     _rotations_complete,
     recover_dual_structure,
@@ -22,6 +25,7 @@ from plotkin_pke.gf2 import (
     NotInvertibleError,
     sample_fixed_weight,
 )
+from plotkin_pke.isd import log2_binom
 from plotkin_pke.rng import substream
 from plotkin_pke.scheme import (
     PublicKey,
@@ -32,6 +36,8 @@ from plotkin_pke.scheme import (
 )
 from plotkin_pke.stern import (
     _dual_generator,
+    _hits,
+    _pair_tables,
     _reduce_onto_information_set,
     stern_search,
 )
@@ -148,6 +154,74 @@ def test_stern_known_answer():
             record.append(_reduce_onto_information_set(dual, perm)[1])
     digest = hashlib.sha256(json.dumps(record).encode()).hexdigest()
     assert digest == "20cbfbf342a4c3e25c6b1b2bdd26e28ec799e3ddbc7f2932e01ae721ac8b03ae"
+
+
+def _reduced_tails(params, keys, restarts):
+    """The tails B of the reduced duals [I_d | B] that stern_search meets,
+    over seeded restarts on seeded keys, with its window width."""
+    d = params.n - params.k
+    window = int(log2_binom(d // 2, 2))  # stern_search's rule at these sizes
+    for i in range(keys):
+        rng = substream(b"\x7a" * 32, i)
+        pk, _ = keygen(params, rng)
+        dual = _dual_generator(systematic_public_generator(pk))
+        for _ in range(restarts):
+            perm = list(range(params.n))
+            rng.shuffle(perm)
+            m, _ = _reduce_onto_information_set(dual, perm)
+            yield m[:, d:], window
+
+
+def test_hits_match_nested_loop_in_search_order(monkeypatch):
+    # every (left pair, right pair) sum, weighed one by one, at a loose
+    # target where a restart has hundreds of hits to put in order; the
+    # small chunk splits each join into dozens of runs
+    d = LAB.n - LAB.k
+    budget = 30 - 4
+    pairs = _pair_tables(d)
+    left = list(combinations(range(d // 2), 2))
+    right = list(combinations(range(d // 2, d), 2))
+    for tail, window in _reduced_tails(LAB, keys=3, restarts=1):
+        ints = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+                for row in tail]
+        mask = (1 << window) - 1
+        right_sums = [ints[k] ^ ints[l] for k, l in right]
+        first_seen = {}
+        expect = []
+        for a, (i, j) in enumerate(left):
+            left_sum = ints[i] ^ ints[j]
+            rank = first_seen.setdefault(left_sum & mask, a)
+            for b, right_sum in enumerate(right_sums):
+                acc = left_sum ^ right_sum
+                if acc & mask == 0 and acc.bit_count() <= budget:
+                    expect.append((rank, a, b, (i, j) + right[b]))
+        expect = [hit for *_, hit in sorted(expect)]
+        assert len(expect) > 100
+        for chunk in (stern._JOIN_CHUNK, 1000):
+            monkeypatch.setattr(stern, "_JOIN_CHUNK", chunk)
+            got = [tuple(row) for row in _hits(tail, pairs, window, budget).tolist()]
+            assert got == expect
+
+
+@pytest.mark.parametrize("params, keys, restarts", [
+    (LAB, 4, 40),
+    (SchemeParams(2, 211, 14, 6, 4, 4), 2, 20),
+])
+def test_hit_count_matches_stern_cost_model(params, keys, restarts):
+    # isd's stern model: a restart catches each of the r rotations of the
+    # weight-w2 row when two of its bits fall in each half of the
+    # information set, none in the window and w2 - 4 in the rest of the tail
+    n, d = params.n, params.n - params.k
+    half = d // 2
+    pairs = _pair_tables(d)
+    total = window = 0
+    for tail, window in _reduced_tails(params, keys, restarts):
+        total += len(_hits(tail, pairs, window, params.w2 - 4))
+    per_restart = (params.r * comb(half, 2) * comb(d - half, 2)
+                   * comb(n - d - window, params.w2 - 4) / comb(n, params.w2))
+    # exact (Garwood) Poisson 95% interval on the total count
+    lo, hi = chi2.ppf(0.025, 2 * total) / 2, chi2.ppf(0.975, 2 * total + 2) / 2
+    assert lo <= per_restart * keys * restarts <= hi
 
 
 def test_stern_input_validation(make_rng):
