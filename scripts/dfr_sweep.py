@@ -3,6 +3,10 @@
 error weights.  Emits one JSON line per weight so the output pipes straight
 into jq or a plotting script.
 
+The decoder is the variant's own stage decoder, majority threshold and
+its iteration cap included (50 for classic-bf, 100 for backflip), unless
+--max-iters overrides the cap.
+
 Example: reproduce the toy mdpc waterfall.
 
     python3 scripts/dfr_sweep.py --r 523 --w 30 --flavor mdpc \
@@ -11,7 +15,7 @@ Example: reproduce the toy mdpc waterfall.
 
 import argparse
 
-from plotkin_pke import DecoderConfig, QcParams, estimate_dfr, substream
+from plotkin_pke import QcParams, backflip_config, classic_bf_config, estimate_dfr, substream
 
 
 def main() -> int:
@@ -21,7 +25,7 @@ def main() -> int:
     parser.add_argument("--w", type=int, required=True, help="parity row weight")
     parser.add_argument("--flavor", choices=("mdpc", "ldpc"), required=True)
     parser.add_argument("--variant", choices=("classic-bf", "backflip"), default="classic-bf")
-    parser.add_argument("--max-iters", type=int, default=50)
+    parser.add_argument("--max-iters", type=int, help="iteration cap (default: the variant's own)")
     parser.add_argument("--t-min", type=int, default=1)
     parser.add_argument("--t-max", type=int, required=True)
     parser.add_argument("--t-step", type=int, default=1)
@@ -31,7 +35,8 @@ def main() -> int:
     args = parser.parse_args()
 
     params = QcParams(n0=args.n0, r=args.r, w=args.w, flavor=args.flavor)
-    cfg = DecoderConfig(variant=args.variant, max_iters=args.max_iters)
+    config = backflip_config if args.variant == "backflip" else classic_bf_config
+    cfg = config() if args.max_iters is None else config(max_iters=args.max_iters)
     seed = bytes.fromhex(args.seed)
 
     for t in range(args.t_min, args.t_max + 1, args.t_step):

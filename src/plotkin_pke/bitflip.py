@@ -19,6 +19,19 @@ Threshold rules: ``majority`` (ceil((colWeight+1)/2), per block) and
 Failure is reported in-band through ``DecodeOutcome.success``; decoding is
 fully deterministic given (H, y, config).
 
+All decoder state is packed ints, and an iteration calls no numpy: e is an
+n-bit int, s an r-bit int, and the upc counts and backflip's ttl are bit
+planes, where bit j of plane k is bit k of the value at position j.  The
+counts are summed bit-sliced over rotations of s (Drucker-Gueron, "A
+toolbox for software optimization of QC-MDPC code-based cryptosystems",
+J. Cryptogr. Eng. 2019) by a carry-save tree: each full adder takes three
+words and returns a sum and a carry, a fixed five word operations.  It is
+carry-save rather than a ripple counter because at large r some bit
+carries on every add, so a ripple counter walks every plane each time: at
+r = 11779 and block weight 71, on a 2-vCPU x86 machine, it took 363 us per
+count against 207 us for the tree.  Thresholds become a bit-sliced ``count >= bound`` comparator,
+the maximum count a scan from the top plane down, and the flip set an int.
+
 The second half of the module estimates decoding failure rates (DFR) by
 Monte Carlo: fresh code and fresh weight-t error per trial, with exact
 Clopper-Pearson 95% intervals, and a scan that picks the largest error
@@ -35,6 +48,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
+from itertools import zip_longest
 
 import numpy as np
 from scipy.stats import beta as _beta
@@ -91,48 +105,143 @@ class DecodeOutcome:
     error_vector: BitVector | None
 
 
-def _upc(s: int, supports: list[tuple[int, ...]], r: int) -> np.ndarray:
-    """upc count of every bit from syndrome s and the row supports of H.
+def _upc_planes(s: int, supports: list[tuple[int, ...]], r: int) -> list[int]:
+    """upc counts of every bit from syndrome s and the row supports of H, as
+    bit planes: bit j of plane k is bit k of upc[j].
 
     Bit j of block i sits in the checks (j - u) mod r, u in supp(h_i), so
-    its count adds one slice of the doubled syndrome s2 = [s | s] per u,
-    where s2[r - u + j] == s[(j - u) mod r].  An empty block counts 0.
+    its count adds one rotation of s per u: the slice of the doubled
+    syndrome s2 = s | s << r that lands on block i when shifted up by
+    u + (i - 1) r.  Word m carries the m-th rotation of every block side by
+    side, and a carry-save tree sums the words.  An empty block counts 0.
     """
-    raw = (s | (s << r)).to_bytes((2 * r + 7) // 8, "little")
-    s2 = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-    s2 = s2[:2 * r].astype(np.int32)
-    upc = np.zeros((len(supports), r), dtype=np.int32)
-    for acc, supp in zip(upc, supports):
-        for u in supp:
-            acc += s2[r - u:2 * r - u]
-    return upc.ravel()
+    mask = (1 << r) - 1
+    s2 = s | s << r
+    words = [(s2 >> (r - u)) & mask for u in supports[0]]
+    for i, supp in enumerate(supports[1:], 1):
+        mask_i, offset = mask << i * r, (i - 1) * r
+        rotated = [(s2 << offset + u) & mask_i for u in supp]
+        words = [a | b for a, b in zip_longest(words, rotated, fillvalue=0)]
+    planes = []
+    while words:  # every word weighs 2 ** len(planes)
+        total, carries = words[0], []
+        for a, b in zip(words[1::2], words[2::2]):  # full adder: sum stays, carry moves up
+            x = total ^ a
+            carries.append((total & a) | (x & b))
+            total = x ^ b
+        if len(words) % 2 == 0:  # half adder for the last word
+            carries.append(total & words[-1])
+            total ^= words[-1]
+        planes.append(total)
+        words = carries
+    return planes
+
+
+def _spread(values: tuple[int, ...], r: int) -> list[int]:
+    """Bit planes of one value per block: bit j of plane k is bit k of
+    values[j // r]."""
+    mask = (1 << r) - 1
+    return [sum(mask << i * r for i, v in enumerate(values) if v >> k & 1)
+            for k in range(max(values).bit_length())]
+
+
+def _at_least(planes: list[int], bounds: list[int], within: int) -> int:
+    """Bit-sliced comparator: the bits of ``within`` whose count is at least
+    their bound, both given as bit planes.  It scans from the top plane
+    down, keeping the bits already greater (gt) and those equal so far (eq).
+    No ``~``: on a long int that costs a two's-complement round trip."""
+    gt, eq = 0, within
+    for k in reversed(range(max(len(planes), len(bounds)))):
+        c = planes[k] if k < len(planes) else 0
+        b = bounds[k] if k < len(bounds) else 0
+        differ = eq & (c ^ b)
+        gt |= differ & c
+        eq ^= differ
+    return gt | eq
+
+
+def _max_count(planes: list[int]) -> int:
+    """Largest count, read top plane down: keep the bits that have each bit."""
+    alive, top = -1, 0
+    for k in reversed(range(len(planes))):
+        if alive & planes[k]:
+            alive &= planes[k]
+            top |= 1 << k
+    return top
+
+
+def _any(planes: list[int]) -> int:
+    """The bits whose count is nonzero."""
+    out = 0
+    for p in planes:
+        out |= p
+    return out
+
+
+def _ttl_bounds(thresholds: tuple[int, ...], weights: tuple[int, ...], r: int,
+                levels: int) -> list[list[int]]:
+    """Bit planes of the least count whose flip gets ttl >= v, for v = 1..levels.
+
+    A fresh flip of count c over threshold t, in a block of column weight
+    cw, gets ttl = min(TTL_SATURATION, 1 + (c - t) * TTL_SATURATION // cw),
+    which is at least v exactly where c >= t + ceil((v - 1) cw / TTL_SATURATION).
+    The bound for v = 1 is the threshold itself.
+    """
+    return [_spread(tuple(t + -(-(v - 1) * w // TTL_SATURATION)
+                          for t, w in zip(thresholds, weights)), r)
+            for v in range(1, levels + 1)]
+
+
+def _fresh_ttl(upc: list[int], bounds: list[list[int]], fresh: int) -> list[int]:
+    """ttl bit planes of the fresh flips, from their upc planes and the
+    ``_ttl_bounds`` of every level: one comparator per level reached, then
+    the thermometer code ge[v] (ttl >= v) read out in binary."""
+    ge = [0, fresh]
+    while len(ge) <= TTL_SATURATION and ge[-1]:
+        ge.append(_at_least(upc, bounds[len(ge) - 1], ge[-1]))
+    ge += [0] * (2 * TTL_SATURATION + 1 - len(ge))
+    planes = []
+    for k in range(TTL_SATURATION.bit_length()):
+        plane = 0
+        for v in range(1 << k, TTL_SATURATION + 1, 2 << k):  # bit k of v is set
+            plane |= ge[v] ^ ge[v + (1 << k)]
+        planes.append(plane)
+    return planes
 
 
 def upc_profile(h: QcParityCheck, word: BitVector) -> np.ndarray:
     """Unsatisfied-check count for every bit position, as an int array."""
-    return _upc(syndrome(h, word).value, [b.row0.support() for b in h.blocks], h.params.r)
+    n = h.params.n
+    planes = _upc_planes(syndrome(h, word).value, [b.row0.support() for b in h.blocks], h.params.r)
+    upc = np.zeros(n, dtype=np.int32)
+    for k, plane in enumerate(planes):
+        raw = np.frombuffer(plane.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+        upc += np.unpackbits(raw, count=n, bitorder="little").astype(np.int32) << k
+    return upc
 
 
 def decode(h: QcParityCheck, word: BitVector, cfg: DecoderConfig) -> DecodeOutcome:
-    """Deterministic bit-flipping decode of ``word`` against parity check ``h``:
-    the state is the error estimate e, one packed n-bit int, and the syndrome
-    s of word + e, which every flip moves by the flipped bits' own syndrome."""
+    """Deterministic bit-flipping decode of ``word`` against parity check ``h``.
+
+    The whole state is packed ints: the error estimate e (n bits), the
+    syndrome s of word + e (r bits), which every flip moves by the flipped
+    bits' own syndrome, the upc counts and backflip's ttl as bit planes.
+    """
     r, n = h.params.r, h.params.n
+    if word.length != n:
+        raise ValueError("word length differs from code length")
     h_t_rows = _transposed_rows(h)
     supports = [b.row0.support() for b in h.blocks]
-    col_weights = np.repeat(h.block_weights, r).astype(np.int32)
-    majority = (col_weights + 2) // 2  # ceil((colWeight + 1) / 2)
-    s = syndrome(h, word).value
+    weights = h.block_weights
+    full = (1 << n) - 1
+    s = _block_dot(word.value, h_t_rows, r)
     e = 0
 
-    def toggle(positions: np.ndarray) -> bool:
-        """Flip all selected bits of e at once; True once s is zero."""
+    def toggle(flips: int) -> bool:
+        """Flip the selected bits of e at once; True once s is zero."""
         nonlocal e, s
-        bitmap = np.zeros(n, dtype=np.uint8)
-        bitmap[positions] = 1
-        delta = int.from_bytes(np.packbits(bitmap, bitorder="little").tobytes(), "little")
-        e ^= delta
-        s ^= _block_dot(delta, h_t_rows, r)
+        e ^= flips
+        s ^= _block_dot(flips, h_t_rows, r)
         return s == 0
 
     def success(iterations: int) -> DecodeOutcome:
@@ -143,38 +252,43 @@ def decode(h: QcParityCheck, word: BitVector, cfg: DecoderConfig) -> DecodeOutco
         return success(0)
 
     backflip = cfg.variant == "backflip"
-    ttl = np.zeros(n, dtype=np.int32) if backflip else None  # 0 = not pending
+    levels = TTL_SATURATION if backflip else 1
+    bounds = {}  # per-block thresholds -> their _ttl_bounds
+    majority = tuple((w + 2) // 2 for w in weights)  # ceil((colWeight + 1) / 2)
+    ttl = [0] * TTL_SATURATION.bit_length()  # bit planes; 0 = not pending
     for iteration in range(1, cfg.max_iters + 1):
-        upc = _upc(s, supports, r)
-        has_pending = backflip and bool(ttl.any())
-        if has_pending:
-            active = ttl > 0
-            ttl[active] -= 1
+        upc = _upc_planes(s, supports, r)
+        pending = _any(ttl)
+        if pending:
+            borrow = pending  # ttl -= 1 on the pending bits
+            for k, plane in enumerate(ttl):
+                ttl[k] = plane ^ borrow
+                borrow &= ttl[k]
             # expired, and its support still unsatisfied
-            undo = np.nonzero(active & (ttl == 0) & (upc > 0))[0]
-            if undo.size:
+            expired = pending ^ (pending & _any(ttl))
+            undo = expired & _any(upc)
+            if undo:
                 if toggle(undo):
                     return success(iteration)
-                upc = _upc(s, supports, r)
-            has_pending = bool(ttl.any())
+                upc = _upc_planes(s, supports, r)
+            pending ^= expired
 
         if cfg.threshold == "majority":
             thresholds = majority
         else:  # max-upc-delta; clamp so zero-count bits never qualify
-            thresholds = max(int(upc.max()) - cfg.delta, 1)
-        flips = np.nonzero(upc >= thresholds)[0]
+            thresholds = (max(_max_count(upc) - cfg.delta, 1),) * len(weights)
+        if thresholds not in bounds:
+            bounds[thresholds] = _ttl_bounds(thresholds, weights, r, levels)
+        flips = _at_least(upc, bounds[thresholds][0], full)
 
-        if flips.size == 0 and not has_pending:
+        if not flips and not pending:
             return DecodeOutcome(False, iteration, None, None)  # stalled: nothing can change
 
-        if flips.size:
+        if flips:
             if backflip:
-                fresh = flips[ttl[flips] == 0]  # the rest: undo a pending flip early
-                margin = (upc - thresholds)[fresh]
-                ttl[flips] = 0
-                ttl[fresh] = np.minimum(
-                    TTL_SATURATION, 1 + (margin * TTL_SATURATION) // col_weights[fresh],
-                )
+                fresh = flips ^ (flips & pending)  # the rest: undo a pending flip early
+                fresh_ttl = _fresh_ttl(upc, bounds[thresholds], fresh)
+                ttl = [(plane ^ (plane & flips)) | f for plane, f in zip(ttl, fresh_ttl)]
             if toggle(flips):
                 return success(iteration)
 

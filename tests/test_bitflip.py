@@ -57,15 +57,24 @@ def test_upc_zero_on_codeword(make_rng):
     assert not upc_profile(h, encode(gen, m)).any()
 
 
+def _heavy_checks(rng):
+    """Hand-built r = 523 checks whose counts need eight and nine bit planes:
+    block weights (128, 255) and (256, 3), so a count carries into the top."""
+    for weights in ((128, 255), (256, 3)):
+        blocks = tuple(CirculantBlock(523, sample_fixed_weight(rng, 523, w)) for w in weights)
+        yield QcParityCheck(TOY_MDPC, blocks)
+
+
 def test_upc_single_error_hits_column_weight(make_rng):
     rng, h, gen = _instance(make_rng, 2, TOY_MDPC)
     m = BitVector(523, rng.take_bits(523))
     cw = encode(gen, m)
-    for pos in (0, 522, 523, 1045):
-        y = cw ^ BitVector.from_support(1046, (pos,))
-        upc = upc_profile(h, y)
-        col_weight = h.blocks[pos // 523].weight
-        assert upc[pos] == col_weight
+    for check, word in ((h, cw), *((heavy, BitVector(1046, 0)) for heavy in _heavy_checks(rng))):
+        for pos in (0, 522, 523, 1045):
+            y = word ^ BitVector.from_support(1046, (pos,))
+            upc = upc_profile(check, y)
+            col_weight = check.blocks[pos // 523].weight
+            assert upc[pos] == col_weight
 
 
 def test_upc_matches_dense_recomputation(make_rng):
@@ -79,6 +88,10 @@ def test_upc_matches_dense_recomputation(make_rng):
     holed = QcParityCheck(ldpc.params, (empty,) + ldpc.blocks[1:])
     for h in (mdpc, ldpc, holed):
         for _ in range(20):
+            y = BitVector(h.params.n, rng.take_bits(h.params.n))
+            assert upc_profile(h, y).tolist() == _dense_upc(h, y).tolist()
+    for h in _heavy_checks(rng):
+        for _ in range(3):
             y = BitVector(h.params.n, rng.take_bits(h.params.n))
             assert upc_profile(h, y).tolist() == _dense_upc(h, y).tolist()
 
@@ -173,6 +186,16 @@ def test_decode_known_answer():
     )
     record = []
     stalled = exhausted = 0
+
+    def run(h, y, cfg):
+        nonlocal stalled, exhausted
+        out = decode(h, y, cfg)
+        error = out.error_vector.value if out.success else None
+        record.append([out.success, out.iterations, error])
+        if not out.success:
+            stalled += out.iterations < cfg.max_iters
+            exhausted += out.iterations == cfg.max_iters
+
     for params, weights, count in sets:
         for t in weights:
             for i in range(count):
@@ -181,12 +204,7 @@ def test_decode_known_answer():
                 cw = encode(derive_generator(h), BitVector(params.k, rng.take_bits(params.k)))
                 y = cw ^ sample_fixed_weight(rng, params.n, t)
                 for cfg in configs:
-                    out = decode(h, y, cfg)
-                    error = out.error_vector.value if out.success else None
-                    record.append([out.success, out.iterations, error])
-                    if not out.success:
-                        stalled += out.iterations < cfg.max_iters
-                        exhausted += out.iterations == cfg.max_iters
+                    run(h, y, cfg)
     lab = SchemeParams(2, 101, 14, 6, 4, 4)
     for i in range(10):
         rng = substream(b"\xa7" * 32, i)
@@ -194,13 +212,64 @@ def test_decode_known_answer():
         ct = encrypt(pk, BitVector(lab.plaintext_bits, rng.take_bits(lab.plaintext_bits)), rng)
         rec = recover_dual_structure(pk, rng, max_iterations=50)
         for word in ((ct.c2, ct.c1 ^ ct.c2) if rec else ()):
-            out = decode(rec.parity, word, ldpc_decoder_config(lab))
-            error = out.error_vector.value if out.success else None
-            record.append([out.success, out.iterations, error])
+            run(rec.parity, word, ldpc_decoder_config(lab))
     assert len(record) == 500
     assert stalled >= 1 and exhausted >= 1  # both failure branches stay covered
     digest = hashlib.sha256(json.dumps(record).encode()).hexdigest()
     assert digest == "20d47b3941d92b28588ff71cf07444918d4b5db3857920cb184556f20a707856"
+
+    # Three checks the sets above miss, decoding bare error words.  An
+    # n0 = 3 ldpc code with block weights 4, 3, 3, so the majority
+    # thresholds differ per block (3, 2, 2), under all four configs, and its
+    # copy with an empty first block.  Then backflip max-upc-delta with
+    # delta = 20 on the toy mdpc code: the threshold clamps to 1, and an
+    # error bit whose 15 checks are all unsatisfied gets the fresh ttl
+    # min(8, 1 + 14 * 8 // 15) = TTL_SATURATION
+    record.clear()
+    ldpc3 = QcParams(3, 101, 10, "ldpc")
+    empty = CirculantBlock(101, BitVector(101, 0))
+    for i in range(8):
+        rng = substream(b"\x3c" * 32, i)
+        h = sample_parity_check(rng, ldpc3)
+        holed = QcParityCheck(ldpc3, (empty,) + h.blocks[1:])
+        for t in (2, 5, 10):
+            y = sample_fixed_weight(rng, ldpc3.n, t)
+            for check in (h, holed):
+                for cfg in configs:
+                    run(check, y, cfg)
+    clamped = backflip_config(threshold="max-upc-delta", delta=20)
+    for i in range(6):
+        rng = substream(b"\x5e" * 32, i)
+        h = sample_parity_check(rng, TOY_MDPC)
+        for t in (1, 3):
+            run(h, sample_fixed_weight(rng, TOY_MDPC.n, t), clamped)
+    assert len(record) == 204
+    digest = hashlib.sha256(json.dumps(record).encode()).hexdigest()
+    assert digest == "1f4d976582d6e1959a82ab910f4ffee90066866e8dae2969c83e9b72d548caa3"
+
+
+def test_fresh_ttl_matches_formula(make_rng):
+    # a fresh flip of count c over its block's threshold t and column weight
+    # cw gets ttl = min(TTL_SATURATION, 1 + (c - t) * TTL_SATURATION // cw).
+    # Decodes reach TTL_SATURATION only at thresholds of at most cw / 8,
+    # where the known answer's decodes all end at max_iters whatever the
+    # ttl, so the values are checked here, over counts of eight planes
+    rng = make_rng(0x7E)
+    r, weights, sat = 64, (255, 16, 3), bitflip.TTL_SATURATION
+    seen = set()
+    for thresholds in ((1, 1, 1), (128, 9, 2), (250, 16, 3)):
+        counts = [rng.randbelow(w + 1) for w in weights for _ in range(r)]
+        fresh = sum(1 << j for j, c in enumerate(counts)
+                    if c >= thresholds[j // r] and rng.randbelow(4))
+        upc = [sum((c >> k & 1) << j for j, c in enumerate(counts)) for k in range(8)]
+        bounds = bitflip._ttl_bounds(thresholds, weights, r, sat)
+        planes = bitflip._fresh_ttl(upc, bounds, fresh)
+        got = [sum((p >> j & 1) << k for k, p in enumerate(planes)) for j in range(len(counts))]
+        want = [min(sat, 1 + (c - thresholds[j // r]) * sat // weights[j // r])
+                if fresh >> j & 1 else 0 for j, c in enumerate(counts)]
+        assert got == want
+        seen.update(want)
+    assert seen == set(range(sat + 1))
 
 
 def test_decode_max_upc_rule(make_rng):

@@ -5,25 +5,50 @@ import json
 import sys
 from pathlib import Path
 
+from plotkin_pke.bitflip import backflip_config, classic_bf_config
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-def _run_script(name, args, monkeypatch, capsys):
+def _load_script(name):
     spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def _run_script(name, args, monkeypatch, capsys, module=None):
+    module = module or _load_script(name)
     monkeypatch.setattr(sys, "argv", [f"{name}.py", *args])
     assert module.main() in (None, 0)
     return capsys.readouterr().out
 
 
 def test_dfr_sweep(monkeypatch, capsys):
-    out = _run_script("dfr_sweep", [
-        "--r", "13", "--w", "5", "--flavor", "mdpc", "--t-max", "2", "--trials", "3",
-    ], monkeypatch, capsys)
+    # the decoder handed to estimate_dfr is the variant's stage decoder,
+    # iteration cap included, unless --max-iters overrides it
+    module = _load_script("dfr_sweep")
+    configs = []
+    estimate = module.estimate_dfr
+
+    def recording(params, t, cfg, **kw):
+        configs.append(cfg)
+        return estimate(params, t, cfg, **kw)
+
+    monkeypatch.setattr(module, "estimate_dfr", recording)
+    args = ["--r", "13", "--w", "5", "--flavor", "mdpc", "--t-max", "2", "--trials", "3"]
+    out = _run_script("dfr_sweep", args, monkeypatch, capsys, module)
     records = [json.loads(line) for line in out.splitlines()]
     assert [rec["t"] for rec in records] == [1, 2]
     assert all(rec["trials"] == 3 for rec in records)
+    assert configs == [classic_bf_config()] * 2
+    configs.clear()
+    _run_script("dfr_sweep", [*args, "--variant", "backflip"], monkeypatch, capsys, module)
+    assert configs == [backflip_config()] * 2
+    configs.clear()
+    _run_script("dfr_sweep", [*args, "--variant", "backflip", "--max-iters", "7"],
+                monkeypatch, capsys, module)
+    assert configs == [backflip_config(max_iters=7)] * 2
 
 
 def test_workfactor_table(monkeypatch, capsys):
