@@ -35,7 +35,10 @@ the maximum count a scan from the top plane down, and the flip set an int.
 The second half of the module estimates decoding failure rates (DFR) by
 Monte Carlo: fresh code and fresh weight-t error per trial, with exact
 Clopper-Pearson 95% intervals, and a scan that picks the largest error
-weight meeting a target DFR.  A trial decodes the error alone rather than
+weight meeting a target DFR.  The interval ends are beta quantiles, found
+in pure Python: the regularized incomplete beta function by its continued
+fraction (Lentz's method, Numerical Recipes 6.4), inverted by Newton steps
+kept inside a bisection bracket.  A trial decodes the error alone rather than
 codeword + error: every decision above depends only on the syndrome, and
 H (c + e)^T = H e^T, so both words take the same steps and fail together.
 """
@@ -49,9 +52,9 @@ from dataclasses import dataclass
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from itertools import zip_longest
+from math import comb, exp, inf, lgamma, log, log1p, sqrt
 
 import numpy as np
-from scipy.stats import beta as _beta
 
 from .gf2 import BitVector, _block_dot, sample_fixed_weight
 from .qc import QcParams, QcParityCheck, _transposed_rows, sample_parity_check, syndrome
@@ -299,13 +302,83 @@ def decode(h: QcParityCheck, word: BitVector, cfg: DecoderConfig) -> DecodeOutco
 # DFR estimation
 
 
+# Up to this smaller beta argument log B comes from an exact binomial.  Past
+# it math.comb takes over 0.4 ms and lgamma takes over.  Its rounding, about
+# 3e-9 absolute at a + b = 10**6, moves a quantile by roughly that over
+# sqrt(min(a, b)) relative: under 1e-10.
+_EXACT_BETA_MAX = 1000
+_TINY = 1e-300  # Lentz's guard against a zero denominator
+
+
+def _log_beta(a: int, b: int) -> float:
+    """log B(a, b) for integers a, b >= 1: B(a, b) = 1 / ((a+b-1) C(a+b-2, a-1))."""
+    if min(a, b) <= _EXACT_BETA_MAX:
+        return -log((a + b - 1) * comb(a + b - 2, a - 1))
+    return lgamma(a) + lgamma(b) - lgamma(a + b)
+
+
+def _beta_cf(a: int, b: int, x: float) -> float:
+    """Continued fraction of I_x(a, b) by Lentz's method; converges fast for
+    x < (a + 1) / (a + b + 2), in O(sqrt(max(a, b))) terms at worst."""
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1)
+    d = 1.0 / (d if abs(d) > _TINY else _TINY)
+    h, m, delta = d, 0, 0.0
+    while abs(delta - 1.0) > 1e-15:
+        m += 1
+        m2 = a + 2 * m
+        for aa in (m * (b - m) * x / ((m2 - 1) * m2), -(a + m) * (a + b + m) * x / (m2 * (m2 + 1))):
+            d = 1.0 + aa * d
+            d = 1.0 / (d if abs(d) > _TINY else _TINY)
+            c = 1.0 + aa / c
+            c = c if abs(c) > _TINY else _TINY
+            delta = c * d
+            h *= delta
+    return h
+
+
+def _beta_cdf(x: float, a: int, b: int, log_beta: float) -> float:
+    """Regularized incomplete beta function I_x(a, b), 0 < x < 1."""
+    front = exp(a * log(x) + b * log1p(-x) - log_beta)
+    if x * (a + b + 2) < a + 1:
+        return front * _beta_cf(a, b, x) / a
+    return 1.0 - front * _beta_cf(b, a, 1.0 - x) / b  # I_x(a, b) = 1 - I_{1-x}(b, a)
+
+
+def _beta_ppf(p: float, a: int, b: int) -> float:
+    """The x with I_x(a, b) = p.
+
+    Starts from the Numerical Recipes 6.4 normal-approximation guess (valid
+    for a, b >= 1) and takes Newton steps on I_x - p, each kept inside the
+    bracket [lo, hi] the evaluations so far have established; a step that
+    leaves it, or meets an underflowed density, bisects instead.  Stops once
+    a Newton step or the bracket is below 1e-12 of x.
+    """
+    log_beta = _log_beta(a, b)
+    t = sqrt(-2.0 * log(min(p, 1.0 - p)))
+    z = (2.30753 + 0.27061 * t) / (1.0 + t * (0.99229 + 0.04481 * t)) - t
+    z = -z if p < 0.5 else z
+    al, h = (z * z - 3.0) / 6.0, 2.0 / (1.0 / (2 * a - 1) + 1.0 / (2 * b - 1))
+    w = z * sqrt(al + h) / h - (1.0 / (2 * b - 1) - 1.0 / (2 * a - 1)) * (al + 5.0 / 6.0 - 2.0 / (3.0 * h))
+    x = a / (a + b * exp(2.0 * w))
+    lo, hi = 0.0, 1.0
+    while hi - lo > 1e-12 * x:
+        f = _beta_cdf(x, a, b, log_beta) - p
+        lo, hi = (x, hi) if f < 0 else (lo, x)
+        density = exp((a - 1) * log(x) + (b - 1) * log1p(-x) - log_beta)
+        step = f / density if density else inf
+        if abs(step) <= 1e-12 * x:
+            return x - step
+        x = x - step if lo < x - step < hi else 0.5 * (lo + hi)
+    return x
+
+
 def clopper_pearson(failures: int, trials: int) -> tuple[float, float]:
     """Exact 95% binomial confidence interval for a failure count."""
     if not 0 <= failures <= trials or trials < 1:
         raise ValueError("need 0 <= failures <= trials, trials >= 1")
     alpha = 1.0 - 0.95  # not the float 0.05, which differs in the last bit
-    lo = 0.0 if failures == 0 else float(_beta.ppf(alpha / 2, failures, trials - failures + 1))
-    hi = 1.0 if failures == trials else float(_beta.ppf(1 - alpha / 2, failures + 1, trials - failures))
+    lo = 0.0 if failures == 0 else _beta_ppf(alpha / 2, failures, trials - failures + 1)
+    hi = 1.0 if failures == trials else _beta_ppf(1 - alpha / 2, failures + 1, trials - failures)
     return lo, hi
 
 

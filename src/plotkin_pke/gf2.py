@@ -125,11 +125,11 @@ class BitVector:
 
 
 # Lighter operands up to this weight take the set-bit loop, heavier ones the
-# comb.  Crossover, median of 31 interleaved calls against a dense row on a
-# 2-vCPU VM: at r = 11779 the loop reads 0.29 ms at w = 160 against 0.35 on
-# the comb, 0.40 against 0.40 at w = 192 and 0.56 against 0.46 at w = 256;
-# r = 40597 ties from w = 192 to 256, r = 523 near w = 128.  So every row of H
-# at every preset (block weight at most 137) stays on the loop.
+# comb, so every row of H at every preset (block weight at most 137) stays on
+# the loop.  The bound is conservative.  Median of 31 calls against a dense
+# row on a 2-vCPU VM: at r = 11779 the loop reads 0.25 ms at w = 192 against
+# 0.54 on the comb and still wins at w = 512 (0.77 against 0.84); at r = 523
+# it reads 0.05 against 0.06 at w = 192.
 _SPARSE_MAX_WEIGHT = 192
 
 
@@ -146,10 +146,10 @@ def _mul_mod(a: int, b: int, r: int) -> int:
         a, b = b, a
     acc = 0
     if a.bit_count() <= _SPARSE_MAX_WEIGHT:
-        while a:
-            low = a & -a
-            acc ^= b << (low.bit_length() - 1)
-            a ^= low
+        while a:  # from the top bit: a & -a would negate the whole long int
+            top = a.bit_length() - 1
+            acc ^= b << top
+            a ^= 1 << top
     else:
         tab = [0, b]  # tab[p] = p(x) * b(x), p read as a bit pattern
         for i in range(1, 8):

@@ -3,9 +3,11 @@
 import hashlib
 import json
 import os
+import time
 
 import numpy as np
 import pytest
+from scipy.stats import beta
 
 from plotkin_pke import bitflip, dense
 from plotkin_pke.attack import recover_dual_structure
@@ -306,8 +308,27 @@ def test_clopper_pearson_edges_and_known_value():
 
 
 def test_clopper_pearson_monotone_in_failures():
-    highs = [clopper_pearson(f, 500)[1] for f in range(0, 20)]
+    lows, highs = zip(*(clopper_pearson(f, 500) for f in range(0, 501)))
+    assert all(a < b for a, b in zip(lows, lows[1:]))
     assert all(a < b for a, b in zip(highs, highs[1:]))
+
+
+def test_clopper_pearson_matches_scipy_beta_quantiles():
+    grid = [(f, n) for n in range(1, 21) for f in range(n + 1)]
+    for n in (500, 2000, 20_000, 10**6):
+        grid += [(f, n) for f in sorted({0, 1, 2, 5, 124, n // 100, n // 3, n // 2, n - 1, n})]
+    alpha = 1.0 - 0.95
+    for f, n in grid:
+        lo = 0.0 if f == 0 else beta.ppf(alpha / 2, f, n - f + 1)
+        hi = 1.0 if f == n else beta.ppf(1 - alpha / 2, f + 1, n - f)
+        assert clopper_pearson(f, n) == pytest.approx((lo, hi), rel=1e-10, abs=0), (f, n)
+
+
+def test_clopper_pearson_fast_at_large_balanced_counts():
+    # the continued fraction needs O(sqrt(max(a, b))) terms at a = b
+    start = time.perf_counter()
+    clopper_pearson(500_000, 10**6)
+    assert time.perf_counter() - start < 0.05
 
 
 # --- estimate_dfr --------------------------------------------------------------

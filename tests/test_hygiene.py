@@ -1,8 +1,10 @@
 """Source hygiene: no module imports a name it never uses, no private
-module-level name of the package goes unread, and no public one is read by
-tests alone."""
+module-level name of the package goes unread, no public one is read by
+tests alone, and importing the CLI loads no scipy."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -149,3 +151,14 @@ def test_no_public_names_only_tests_read():
         found += [f"{path.relative_to(ROOT)}:{line} {name}"
                   for line, name in dead_names(path.read_text(), elsewhere, private=False)]
     assert found == []
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy.stats alone once took about 1.1 s of every cold CLI command
+    code = (
+        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import plotkin_pke.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
