@@ -35,10 +35,9 @@ def circulant(row0: np.ndarray) -> np.ndarray:
     """Expand a first row: matrix row i is the right cyclic shift by i."""
     row0 = np.asarray(row0, dtype=np.uint8) & 1
     r = row0.size
-    out = np.empty((r, r), dtype=np.uint8)
-    for i in range(r):
-        out[i] = np.roll(row0, i)
-    return out
+    # window k of row0 row0 is row0 rolled left by k, i.e. right by r - k
+    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([row0, row0]), r)
+    return windows[r - np.arange(r)]
 
 
 def expand_block(block: CirculantBlock) -> np.ndarray:

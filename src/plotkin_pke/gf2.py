@@ -27,7 +27,8 @@ by ``BlockMatrix.vec_mul``, the syndrome and the decoder).
 Every product goes through ``_mul_mod``, which has two branches on the
 weight of the lighter operand: up to ``_SPARSE_MAX_WEIGHT`` (the rows of H)
 one shift-xor per set bit, above it (S, S^-1, the public generator, the
-plaintext) an 8-bit comb with one shift-xor per nonzero byte.
+plaintext) a comb over 32-bit chunks, eight 4-bit windows each, with one
+shift-xor into the accumulator per nonzero chunk.
 """
 
 from __future__ import annotations
@@ -126,10 +127,11 @@ class BitVector:
 
 # Lighter operands up to this weight take the set-bit loop, heavier ones the
 # comb, so every row of H at every preset (block weight at most 137) stays on
-# the loop.  The bound is conservative.  Median of 31 calls against a dense
-# row on a 2-vCPU VM: at r = 11779 the loop reads 0.25 ms at w = 192 against
-# 0.54 on the comb and still wins at w = 512 (0.77 against 0.84); at r = 523
-# it reads 0.05 against 0.06 at w = 192.
+# the loop.  The bound sits between the two crossovers.  Median of 31 calls
+# against a dense row on a 2-vCPU VM: at r = 523 the two tie near w = 128
+# (0.04 ms) and the comb wins at w = 192 (0.04 against 0.055 on the loop); at
+# r = 11779 the loop still wins at w = 512 (0.48-0.80 against 0.56-0.99) and
+# loses from w = 768 on.
 _SPARSE_MAX_WEIGHT = 192
 
 
@@ -138,9 +140,12 @@ def _mul_mod(a: int, b: int, r: int) -> int:
 
     A sparse a (weight at most ``_SPARSE_MAX_WEIGHT``, as every row of H) is
     iterated bit by bit: a weight-w row costs w shift-xors regardless of b's
-    density.  A dense a goes through an 8-bit comb (Lopez-Dahab): a table of
-    b * p(x) for every p of degree below 8, built by doubling, then one
-    shift-xor per nonzero byte of a.
+    density.  A dense a goes through a 4-bit comb (Lopez-Dahab) read 32 bits
+    at a time: t0[p] = p(x) * b(x) for every p of degree below 4, built by
+    doubling, and t_k = t0 shifted by 4k for k = 1..7.  Each nonzero 32-bit
+    chunk of a XORs together the eight entries its nibbles select, rows of
+    about r bits, and shifts that sum into the 2r-bit accumulator: one
+    accumulator update per chunk, not per byte.
     """
     if a.bit_count() > b.bit_count():
         a, b = b, a
@@ -151,12 +156,17 @@ def _mul_mod(a: int, b: int, r: int) -> int:
             acc ^= b << top
             a ^= 1 << top
     else:
-        tab = [0, b]  # tab[p] = p(x) * b(x), p read as a bit pattern
-        for i in range(1, 8):
-            tab += [t ^ (b << i) for t in tab]
-        for j, byte in enumerate(a.to_bytes((a.bit_length() + 7) // 8, "little")):
-            if byte:
-                acc ^= tab[byte] << 8 * j
+        t0 = [0, b]  # t0[p] = p(x) * b(x), p read as a bit pattern
+        for i in range(1, 4):
+            t0 += [t ^ (b << i) for t in t0]
+        t1, t2, t3, t4, t5, t6, t7 = ([t << 4 * k for t in t0] for k in range(1, 8))
+        it = iter(a.to_bytes((a.bit_length() + 31) // 32 * 4, "little"))
+        for j, (w, x, y, z) in enumerate(zip(it, it, it, it)):
+            if w | x | y | z:
+                acc ^= (
+                    t0[w & 15] ^ t1[w >> 4] ^ t2[x & 15] ^ t3[x >> 4]
+                    ^ t4[y & 15] ^ t5[y >> 4] ^ t6[z & 15] ^ t7[z >> 4]
+                ) << 32 * j
     return (acc & ((1 << r) - 1)) ^ (acc >> r)
 
 
@@ -170,12 +180,15 @@ def _block_dot(y: int, rows: list[int], r: int) -> int:
     return acc
 
 
+# _REV8[i] is the byte i with its bit order reversed
+_REV8 = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
+
+
 def _transpose_row(v: int, r: int) -> int:
     """First row of the transposed circulant: bit j moves to (r - j) mod r."""
-    if r == 1 or v == 0:
-        return v
-    rev = int(format(v, f"0{r}b")[::-1], 2)  # j -> r - 1 - j
-    return ((rev << 1) | (rev >> (r - 1))) & ((1 << r) - 1)  # then j -> j + 1
+    nb = (r + 7) // 8
+    rev = int.from_bytes(v.to_bytes(nb, "little").translate(_REV8), "big") >> (8 * nb - r)
+    return ((rev << 1) | (rev >> (r - 1))) & ((1 << r) - 1)  # j -> r - 1 - j -> j + 1
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int]:

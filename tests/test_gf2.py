@@ -1,16 +1,20 @@
 """Packed circulant algebra against the dense numpy oracle."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plotkin_pke import dense
+from plotkin_pke import dense, gf2
 from plotkin_pke.gf2 import (
     BitVector,
     BlockMatrix,
     CirculantBlock,
     NotInvertibleError,
     _SPARSE_MAX_WEIGHT,
+    _mul_mod,
+    _transpose_row,
     sample_fixed_weight,
 )
 from plotkin_pke.rng import RandomStream
@@ -75,13 +79,15 @@ def test_bitvector_concat_slice_chunks(rng):
 
 
 def test_block_rows_are_shifts(rng):
-    block = random_block(rng, 13)
-    mat = dense.expand_block(block)
-    row0 = dense.to_array(block.row0)
-    for i in range(13):
-        assert mat[i].tolist() == np.roll(row0, i).tolist()
-        shift = CirculantBlock(13, BitVector(13, 1 << i))  # x^i
-        assert (block * shift).row0 == dense.from_array(mat[i])
+    for r in (1, 2, 3, 8, 13, 101, 256):
+        block = random_block(rng, r)
+        mat = dense.expand_block(block)
+        assert mat.dtype == np.uint8 and mat.shape == (r, r)
+        row0 = dense.to_array(block.row0)
+        for i in range(r):
+            assert mat[i].tolist() == np.roll(row0, i).tolist()
+            shift = CirculantBlock(r, BitVector(r, 1 << i))  # x^i
+            assert (block * shift).row0 == dense.from_array(mat[i])
 
 
 @settings(max_examples=60, deadline=None)
@@ -144,6 +150,63 @@ def test_dense_block_mul_matches_convolution_at_cca128_size(make_rng):
     folded = full[:r].copy()
     folded[: r - 1] += full[r:]
     assert dense.to_array((a * b).row0).tolist() == (folded & 1).tolist()
+
+
+def setbit_mul(a: int, b: int, r: int) -> int:
+    """a(x) * b(x) mod (x^r - 1) as a sum of rotations of b, one per set bit."""
+    mask = (1 << r) - 1
+    acc = 0
+    for j, bit in enumerate(reversed(bin(a)[2:])):
+        if bit == "1":
+            acc ^= ((b << j) | (b >> (r - j))) & mask
+    return acc
+
+
+@pytest.mark.parametrize("r", [193, 255, 256, 257, 523, 10163, 11779])
+def test_comb_matches_setbit_reference(make_rng, monkeypatch, r):
+    # r mod 32 runs over 1, 31, 0, 1, 11, 19, 3: full, partial and single-bit
+    # top chunks.  With the cut-off at 0 every operand takes the comb, however
+    # light, so the zero-chunk shapes exercise it at every r.
+    monkeypatch.setattr(gf2, "_SPARSE_MAX_WEIGHT", 0)
+    rng = make_rng(r)
+    ones = (1 << r) - 1
+    a, b = rng.take_bits(r), rng.take_bits(r)
+    top_chunk = ones >> 32 * ((r - 1) // 32) << 32 * ((r - 1) // 32)
+    for x, y in (
+        (a, b),  # random dense
+        (ones, b),  # all-ones
+        (a & ~top_chunk, b),  # zero top chunk
+        (a & ~((1 << 96) - 1), b),  # three zero low chunks
+        (a, a),
+        (ones, ones),
+    ):
+        want = setbit_mul(x, y, r)
+        assert _mul_mod(x, y, r) == want
+        assert _mul_mod(y, x, r) == want
+
+
+def test_dense_products_pinned_digest(make_rng):
+    # recorded with the 8-bit comb this kernel replaced: the products are
+    # bit-identical, not only self-consistent
+    h = hashlib.sha256()
+    for r in (523, 10163, 11779, 40597):
+        rng = make_rng(r)
+        for _ in range(3):
+            a, b, c = (rng.take_bits(r) for _ in range(3))
+            for x, y in ((a, b), (a | c, b), (a | b | c, c), ((1 << r) - 1, b)):
+                h.update(_mul_mod(x, y, r).to_bytes((r + 7) // 8, "little"))
+    assert h.hexdigest() == "09bd89176d7a499e2c7137cfb9e9cad0025e5eecda4098b58712f7a9daaf6a6e"
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 7, 8, 9, 523, 11779])
+def test_transpose_row_matches_definition(make_rng, r):
+    rng = make_rng(r)
+    for v in (0, (1 << r) - 1, 1, 1 << (r - 1), rng.take_bits(r), rng.take_bits(r)):
+        want = 0
+        for j in range(r):
+            if v >> j & 1:
+                want |= 1 << (r - j) % r
+        assert _transpose_row(v, r) == want
 
 
 @pytest.mark.parametrize("size", [1, 2])
