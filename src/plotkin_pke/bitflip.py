@@ -50,7 +50,7 @@ import os
 from bisect import bisect_right
 from dataclasses import dataclass
 from concurrent.futures import ProcessPoolExecutor
-from functools import partial
+from functools import lru_cache, partial
 from itertools import zip_longest
 from math import comb, exp, inf, lgamma, log, log1p, sqrt
 
@@ -140,15 +140,15 @@ def _upc_planes(s: int, supports: list[tuple[int, ...]], r: int) -> list[int]:
     return planes
 
 
-def _spread(values: tuple[int, ...], r: int) -> list[int]:
+def _spread(values: tuple[int, ...], r: int) -> tuple[int, ...]:
     """Bit planes of one value per block: bit j of plane k is bit k of
     values[j // r]."""
     mask = (1 << r) - 1
-    return [sum(mask << i * r for i, v in enumerate(values) if v >> k & 1)
-            for k in range(max(values).bit_length())]
+    return tuple(sum(mask << i * r for i, v in enumerate(values) if v >> k & 1)
+                 for k in range(max(values).bit_length()))
 
 
-def _at_least(planes: list[int], bounds: list[int], within: int) -> int:
+def _at_least(planes: list[int], bounds: tuple[int, ...], within: int) -> int:
     """Bit-sliced comparator: the bits of ``within`` whose count is at least
     their bound, both given as bit planes.  It scans from the top plane
     down, keeping the bits already greater (gt) and those equal so far (eq).
@@ -181,21 +181,24 @@ def _any(planes: list[int]) -> int:
     return out
 
 
+@lru_cache(maxsize=8)
 def _ttl_bounds(thresholds: tuple[int, ...], weights: tuple[int, ...], r: int,
-                levels: int) -> list[list[int]]:
+                levels: int) -> tuple[tuple[int, ...], ...]:
     """Bit planes of the least count whose flip gets ttl >= v, for v = 1..levels.
 
     A fresh flip of count c over threshold t, in a block of column weight
     cw, gets ttl = min(TTL_SATURATION, 1 + (c - t) * TTL_SATURATION // cw),
     which is at least v exactly where c >= t + ceil((v - 1) cw / TTL_SATURATION).
-    The bound for v = 1 is the threshold itself.
+    The bound for v = 1 is the threshold itself.  A pure function of small
+    ints, so it is memoized: decodes at one parameter set and threshold
+    rule share the entry, and tuples keep a shared entry from changing.
     """
-    return [_spread(tuple(t + -(-(v - 1) * w // TTL_SATURATION)
-                          for t, w in zip(thresholds, weights)), r)
-            for v in range(1, levels + 1)]
+    return tuple(_spread(tuple(t + -(-(v - 1) * w // TTL_SATURATION)
+                               for t, w in zip(thresholds, weights)), r)
+                 for v in range(1, levels + 1))
 
 
-def _fresh_ttl(upc: list[int], bounds: list[list[int]], fresh: int) -> list[int]:
+def _fresh_ttl(upc: list[int], bounds: tuple[tuple[int, ...], ...], fresh: int) -> list[int]:
     """ttl bit planes of the fresh flips, from their upc planes and the
     ``_ttl_bounds`` of every level: one comparator per level reached, then
     the thermometer code ge[v] (ttl >= v) read out in binary."""
@@ -256,7 +259,6 @@ def decode(h: QcParityCheck, word: BitVector, cfg: DecoderConfig) -> DecodeOutco
 
     backflip = cfg.variant == "backflip"
     levels = TTL_SATURATION if backflip else 1
-    bounds = {}  # per-block thresholds -> their _ttl_bounds
     majority = tuple((w + 2) // 2 for w in weights)  # ceil((colWeight + 1) / 2)
     ttl = [0] * TTL_SATURATION.bit_length()  # bit planes; 0 = not pending
     for iteration in range(1, cfg.max_iters + 1):
@@ -280,9 +282,8 @@ def decode(h: QcParityCheck, word: BitVector, cfg: DecoderConfig) -> DecodeOutco
             thresholds = majority
         else:  # max-upc-delta; clamp so zero-count bits never qualify
             thresholds = (max(_max_count(upc) - cfg.delta, 1),) * len(weights)
-        if thresholds not in bounds:
-            bounds[thresholds] = _ttl_bounds(thresholds, weights, r, levels)
-        flips = _at_least(upc, bounds[thresholds][0], full)
+        bounds = _ttl_bounds(thresholds, weights, r, levels)
+        flips = _at_least(upc, bounds[0], full)
 
         if not flips and not pending:
             return DecodeOutcome(False, iteration, None, None)  # stalled: nothing can change
@@ -290,7 +291,7 @@ def decode(h: QcParityCheck, word: BitVector, cfg: DecoderConfig) -> DecodeOutco
         if flips:
             if backflip:
                 fresh = flips ^ (flips & pending)  # the rest: undo a pending flip early
-                fresh_ttl = _fresh_ttl(upc, bounds[thresholds], fresh)
+                fresh_ttl = _fresh_ttl(upc, bounds, fresh)
                 ttl = [(plane ^ (plane & flips)) | f for plane, f in zip(ttl, fresh_ttl)]
             if toggle(flips):
                 return success(iteration)

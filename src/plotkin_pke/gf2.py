@@ -11,7 +11,8 @@ arithmetic modulo x^r - 1.  This module keeps rows as plain Python ints
 * ``CirculantBlock``  -- one circulant, with +, *, transpose, inverse,
 * ``BlockMatrix``     -- matrices of circulant blocks: the scrambler and
                          every generator, systematic or scrambled,
-* ``sample_fixed_weight`` -- uniform fixed-weight vectors from a RandomStream.
+* ``sample_fixed_weight`` -- uniform fixed-weight vectors from a RandomStream,
+                         by rejection on a block of candidates at a time.
 
 Useful facts used throughout: transposing a circulant reverses the index of
 every nonzero coefficient (j -> -j mod r); a circulant is invertible iff
@@ -90,13 +91,14 @@ class BitVector:
         return self.value.bit_count()
 
     def support(self) -> tuple[int, ...]:
+        """Indices of the set bits, ascending."""
         out = []
         v = self.value
-        while v:
-            low = v & -v
-            out.append(low.bit_length() - 1)
-            v ^= low
-        return tuple(out)
+        while v:  # from the top bit: v & -v would negate the whole long int
+            top = v.bit_length() - 1
+            out.append(top)
+            v ^= 1 << top
+        return tuple(reversed(out))
 
     def __xor__(self, other: "BitVector") -> "BitVector":
         if self.length != other.length:
@@ -395,18 +397,25 @@ class BlockMatrix:
 def sample_fixed_weight(rng: RandomStream, n: int, t: int) -> BitVector:
     """Uniform weight-t vector of length n.
 
-    Draws positions with ``rng.randbelow(n)``, skipping repeats, until t
-    distinct positions are chosen.  With t = 0 no bits are consumed.
+    Reads (n - 1).bit_length()-bit candidates through ``rng.draws``, about
+    2t + 8 to a block, rejecting those of n or more and skipping repeats
+    until t distinct positions are chosen: the same vector and final stream
+    position as one ``rng.randbelow(n)`` call per candidate.  With t = 0 no
+    bits are consumed.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if not 0 <= t <= n:
         raise ValueError("weight must lie in [0, n]")
-    value = 0
+    chosen = bytearray((n + 7) // 8)
     remaining = t
-    while remaining:
-        bit = 1 << rng.randbelow(n)
-        if not value & bit:
-            value |= bit
-            remaining -= 1
-    return BitVector(n, value)
+    if t:
+        for p in rng.draws((n - 1).bit_length(), 2 * t + 8):
+            if p < n:
+                byte, bit = p >> 3, 1 << (p & 7)
+                if not chosen[byte] & bit:
+                    chosen[byte] |= bit
+                    remaining -= 1
+                    if not remaining:
+                        break
+    return BitVector(n, int.from_bytes(chosen, "little"))

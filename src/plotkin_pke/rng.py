@@ -9,13 +9,21 @@ convention used everywhere else in the package.
 Two streams with the same seed produce identical draws on every platform,
 which is what makes key generation, encryption, decoding experiments and
 attack demos reproducible from a single hex seed.
+
+``take_bits`` reads one value at a time.  ``draws`` reads fixed-width values
+a block at a time, for loops that reject and redraw (fixed-weight sampling,
+the shuffle): it yields the same values in the same order and leaves the
+stream where the same ``take_bits`` calls would, so the two readers mix
+freely as long as a ``draws`` iterator is dropped before the next other read.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Iterator
 
 SEED_BYTES = 32
+_SHUFFLE_BLOCK = 32  # candidates per read in shuffle
 
 
 class RandomStream:
@@ -49,6 +57,30 @@ class RandomStream:
         chunk = int.from_bytes(self._buf[first : last + 1], "little")
         return (chunk >> (start % 8)) & ((1 << nbits) - 1)
 
+    def draws(self, nbits: int, block: int) -> Iterator[int]:
+        """Yield the stream's successive ``nbits``-bit values, reading
+        ``block`` of them from the buffer at a time.
+
+        Each value equals what ``take_bits(nbits)`` would return in its
+        place, and the stream position moves past it as it is yielded, so
+        stopping after any value leaves the stream exactly there.  The
+        iterator is endless and stays valid only until the stream's next
+        read by any other method or iterator; drop it then.
+        """
+        if nbits < 0 or block < 1:
+            raise ValueError("need nbits >= 0 and block >= 1")
+        mask = (1 << nbits) - 1
+        while True:
+            self._ensure_bits(nbits * block)
+            start = self._pos
+            chunk = int.from_bytes(
+                self._buf[start // 8 : (start + nbits * block + 7) // 8], "little"
+            ) >> (start % 8)
+            for _ in range(block):
+                self._pos += nbits
+                yield chunk & mask
+                chunk >>= nbits
+
     def randbelow(self, bound: int) -> int:
         """Uniform draw from [0, bound) by rejection on bit_length-sized candidates."""
         if bound <= 0:
@@ -60,9 +92,20 @@ class RandomStream:
                 return candidate
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle driven by this stream."""
+        """In-place Fisher-Yates shuffle driven by this stream.
+
+        Swaps items[i] with items[randbelow(i + 1)] for i from the top down,
+        drawing the candidates through ``draws``: one iterator per candidate
+        width, as i.bit_length() falls.
+        """
+        nbits = 0
         for i in range(len(items) - 1, 0, -1):
-            j = self.randbelow(i + 1)
+            if i.bit_length() != nbits:
+                nbits = i.bit_length()
+                candidates = self.draws(nbits, _SHUFFLE_BLOCK)
+            j = next(candidates)
+            while j > i:
+                j = next(candidates)
             items[i], items[j] = items[j], items[i]
 
 

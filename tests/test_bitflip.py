@@ -274,6 +274,32 @@ def test_fresh_ttl_matches_formula(make_rng):
     assert seen == set(range(sat + 1))
 
 
+def test_ttl_bounds_entries_are_tuples():
+    # the memo hands one entry to every decode that asks for it: a list
+    # anywhere inside would let one caller change what the others read
+    args = ((16, 16), (15, 15), 523, bitflip.TTL_SATURATION)
+    bounds = bitflip._ttl_bounds(*args)
+    assert isinstance(bounds, tuple) and len(bounds) == bitflip.TTL_SATURATION
+    assert all(isinstance(level, tuple) for level in bounds)
+    assert bitflip._ttl_bounds(*args) is bounds
+
+
+def test_decode_cold_and_warm_memo_agree(make_rng):
+    rng, h, gen = _instance(make_rng, 0x3C, TOY_MDPC)
+    words = [encode(gen, BitVector(523, rng.take_bits(523))) ^ sample_fixed_weight(rng, 1046, t)
+             for t in (5, 18, 24, 30)]
+    cfgs = (classic_bf_config(), backflip_config(),
+            DecoderConfig(variant="backflip", threshold="max-upc-delta", max_iters=30, delta=1))
+    cold = []
+    for cfg in cfgs:
+        for y in words:
+            bitflip._ttl_bounds.cache_clear()
+            cold.append(decode(h, y, cfg))
+    warm = [decode(h, y, cfg) for cfg in cfgs for y in words]
+    assert warm == cold
+    assert {out.success for out in cold} == {True, False}
+
+
 def test_decode_max_upc_rule(make_rng):
     rng, h, gen = _instance(make_rng, 10, TOY_MDPC)
     cw = encode(gen, BitVector(523, rng.take_bits(523)))

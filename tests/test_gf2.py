@@ -17,7 +17,7 @@ from plotkin_pke.gf2 import (
     _transpose_row,
     sample_fixed_weight,
 )
-from plotkin_pke.rng import RandomStream
+from plotkin_pke.rng import RandomStream, substream
 
 ODD_R = [3, 5, 7, 9, 11, 13, 17, 19, 23, 29, 31]
 
@@ -50,6 +50,13 @@ def test_bitvector_support_roundtrip():
     assert v.support() == (0, 3, 10)
     assert v.weight == 3
     assert [(v.value >> j) & 1 for j in range(11)] == [1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1]
+
+
+@pytest.mark.parametrize("r", [1, 8, 523, 11779])
+def test_bitvector_support_matches_definition(make_rng, r):
+    rng = make_rng(r % 251)
+    for v in (0, (1 << r) - 1, 1 << (r - 1), rng.take_bits(r), rng.take_bits(r)):
+        assert BitVector(r, v).support() == tuple(j for j in range(r) if v >> j & 1)
 
 
 def test_bitvector_bytes_roundtrip(rng):
@@ -369,3 +376,82 @@ def test_sample_fixed_weight_deterministic():
     a = sample_fixed_weight(RandomStream(b"\x01" * 32), 523, 30)
     b = sample_fixed_weight(RandomStream(b"\x01" * 32), 523, 30)
     assert a == b
+
+
+# the per-candidate loops that the block reader replaced: ``randbelow`` once
+# per candidate, with the same reject and skip rules
+
+
+def reference_sample(rng: RandomStream, n: int, t: int) -> BitVector:
+    value = 0
+    remaining = t
+    while remaining:
+        bit = 1 << rng.randbelow(n)
+        if not value & bit:
+            value |= bit
+            remaining -= 1
+    return BitVector(n, value)
+
+
+def reference_shuffle(rng: RandomStream, items: list) -> None:
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.randbelow(i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
+SAMPLE_SHAPES = [(1, 0), (1, 1), (2, 2), (9, 9), (101, 3), (512, 20), (513, 20),
+                 (523, 15), (1046, 1), (1046, 18), (1025, 1000), (23558, 134)]
+SHUFFLE_SIZES = [0, 1, 2, 3, 17, 202, 1046]
+
+
+@pytest.mark.parametrize("n,t", SAMPLE_SHAPES)
+def test_sample_fixed_weight_matches_per_candidate_loop(n, t):
+    # same vectors and the same stream position, over draws in a row
+    for seed in range(3):
+        fast, slow = (substream(b"\x5a" * 32, 1000 * n + seed) for _ in range(2))
+        for _ in range(3):
+            v = sample_fixed_weight(fast, n, t)
+            assert v == reference_sample(slow, n, t)
+            assert v.weight == t
+        assert fast.take_bits(64) == slow.take_bits(64)
+
+
+@pytest.mark.parametrize("n", SHUFFLE_SIZES)
+def test_shuffle_matches_per_candidate_loop(n):
+    for seed in range(3):
+        fast, slow = (substream(b"\x5b" * 32, 1000 * n + seed) for _ in range(2))
+        for _ in range(3):
+            a, b = list(range(n)), list(range(n))
+            fast.shuffle(a)
+            reference_shuffle(slow, b)
+            assert a == b
+        assert fast.take_bits(64) == slow.take_bits(64)
+
+
+@pytest.mark.parametrize("nbits", [0, 1, 7, 8, 11, 64])
+@pytest.mark.parametrize("block", [1, 3, 32])
+def test_draws_match_take_bits(make_rng, nbits, block):
+    # every count of values taken, across block ends, leaves the stream where
+    # as many take_bits calls would, and a later reader sees the same bits
+    for count in (1, block - 1, block, block + 1, 2 * block + 5):
+        fast, slow = make_rng(nbits), make_rng(nbits)
+        slow.take_bits(5)
+        fast.take_bits(5)  # an unaligned start
+        values = fast.draws(nbits, block)
+        assert [next(values) for _ in range(count)] == [slow.take_bits(nbits) for _ in range(count)]
+        assert fast.take_bits(64) == slow.take_bits(64)
+
+
+def test_draws_and_shuffles_pinned_digest():
+    # recorded with the per-candidate randbelow loops the block reader
+    # replaced: the draws are bit-identical, not only self-consistent
+    h = hashlib.sha256()
+    for i in range(200):
+        rng = substream(b"\x6d" * 32, i)
+        n, t = SAMPLE_SHAPES[i % len(SAMPLE_SHAPES)]
+        h.update(sample_fixed_weight(rng, n, t).to_bytes())
+        perm = list(range(SHUFFLE_SIZES[i % len(SHUFFLE_SIZES)]))
+        rng.shuffle(perm)
+        h.update(bytes(str(perm), "ascii"))
+        h.update(rng.take_bits(64).to_bytes(8, "little"))
+    assert h.hexdigest() == "8b6f22e687af7203f6afd3b81ea2d8a956f11d9d15f27ce7422f50b254b78eb1"
