@@ -10,7 +10,8 @@ demo pipeline:
 2. expand the found row's blockwise rotations into a full circulant parity
    check H2' (an exact stand-in for the secret H2 up to row rotation);
 3. attack a ciphertext with it, two ways: decode c2 directly, and decode
-   c1 + c2 (which cancels the first-coordinate codeword).
+   c1 + c2 (which cancels the first-coordinate codeword).  Both words go
+   through one ``decode_many`` pass, one lane each, against H2'.
 
 Both decodes fail: c2 carries the first coordinate's codeword as "noise",
 and c1 + c2 still carries z1 + z2 + mask(z1), a vector of weight about
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from . import dense
 from .gf2 import BitVector, BlockMatrix, CirculantBlock, _xgcd
 from .qc import QcParams, QcParityCheck
-from .bitflip import decode
+from .bitflip import decode_many
 from .rng import RandomStream
 from .scheme import Ciphertext, PublicKey, ldpc_decoder_config
 from .stern import SternResult, stern_search
@@ -165,11 +166,10 @@ def weak_key_attack_demo(
     m2 = true_plaintext.slice(params.k, params.k)
     true_codeword = pk.sg2.vec_mul(m2)
 
-    # (b) c2 alone: still carries the first coordinate's codeword as noise
-    direct = decode(recovered.parity, ct.c2, cfg)
-    # (c) c1 + c2: first coordinate cancels, z1 + z2 + mask(z1) remains
+    # c2 alone still carries the first coordinate's codeword as noise; in
+    # c1 + c2 the first coordinate cancels and z1 + z2 + mask(z1) remains
     combined_word = ct.c1 ^ ct.c2
-    combined = decode(recovered.parity, combined_word, cfg)
+    direct, combined = decode_many(recovered.parity, (ct.c2, combined_word), cfg)
     residual_weight = (combined_word ^ true_codeword).weight
 
     def recovers(outcome) -> bool:

@@ -32,6 +32,19 @@ r = 11779 and block weight 71, on a 2-vCPU x86 machine, it took 363 us per
 count against 207 us for the tree.  Thresholds become a bit-sliced ``count >= bound`` comparator,
 the maximum count a scan from the top plane down, and the flip set an int.
 
+``decode_many`` decodes several words against one H in a single pass, one
+word per lane: word l's e, flips, upc planes and ttl take bits l n to
+l n + n - 1 of the same ints, and its syndrome bit l n up.  As n >= 2r, a
+lane's doubled syndrome s | s << r stays inside the lane, so the
+rotations, the carry-save tree, the comparators and the ttl logic run on
+all lanes at once, unchanged.  At r = 101 an iteration is mostly
+interpreter overhead on ints of a few hundred bits, so a second lane
+costs little.  Only three things are per lane: the r-bit block masks of
+the upc rotations and of the syndrome fold (``gf2._block_dot``); the stop
+tests, where a lane whose syndrome is zero or that stalls leaves the pass
+and takes no more flips; and max-upc-delta's maximum count.  ``decode``
+is the one-lane case.
+
 The second half of the module estimates decoding failure rates (DFR) by
 Monte Carlo: fresh code and fresh weight-t error per trial, with exact
 Clopper-Pearson 95% intervals, and a scan that picks the largest error
@@ -53,6 +66,7 @@ from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache, partial
 from itertools import zip_longest
 from math import comb, exp, inf, lgamma, log, log1p, sqrt
+from typing import Sequence
 
 import numpy as np
 
@@ -108,7 +122,7 @@ class DecodeOutcome:
     error_vector: BitVector | None
 
 
-def _upc_planes(s: int, supports: list[tuple[int, ...]], r: int) -> list[int]:
+def _upc_planes(s: int, supports: list[tuple[int, ...]], r: int, blocks: int) -> list[int]:
     """upc counts of every bit from syndrome s and the row supports of H, as
     bit planes: bit j of plane k is bit k of upc[j].
 
@@ -117,12 +131,13 @@ def _upc_planes(s: int, supports: list[tuple[int, ...]], r: int) -> list[int]:
     syndrome s2 = s | s << r that lands on block i when shifted up by
     u + (i - 1) r.  Word m carries the m-th rotation of every block side by
     side, and a carry-save tree sums the words.  An empty block counts 0.
+    ``blocks`` is the r-bit mask at the foot of every lane (see the module
+    docstring); a lane is n >= 2r bits wide, so no slice reaches the next.
     """
-    mask = (1 << r) - 1
     s2 = s | s << r
-    words = [(s2 >> (r - u)) & mask for u in supports[0]]
+    words = [(s2 >> (r - u)) & blocks for u in supports[0]]
     for i, supp in enumerate(supports[1:], 1):
-        mask_i, offset = mask << i * r, (i - 1) * r
+        mask_i, offset = blocks << i * r, (i - 1) * r
         rotated = [(s2 << offset + u) & mask_i for u in supp]
         words = [a | b for a, b in zip_longest(words, rotated, fillvalue=0)]
     planes = []
@@ -163,9 +178,10 @@ def _at_least(planes: list[int], bounds: tuple[int, ...], within: int) -> int:
     return gt | eq
 
 
-def _max_count(planes: list[int]) -> int:
-    """Largest count, read top plane down: keep the bits that have each bit."""
-    alive, top = -1, 0
+def _max_count(planes: list[int], within: int) -> int:
+    """Largest count among the bits of ``within``, read top plane down: keep
+    the bits that have each bit."""
+    alive, top = within, 0
     for k in reversed(range(len(planes))):
         if alive & planes[k]:
             alive &= planes[k]
@@ -217,8 +233,9 @@ def _fresh_ttl(upc: list[int], bounds: tuple[tuple[int, ...], ...], fresh: int) 
 
 def upc_profile(h: QcParityCheck, word: BitVector) -> np.ndarray:
     """Unsatisfied-check count for every bit position, as an int array."""
-    n = h.params.n
-    planes = _upc_planes(syndrome(h, word).value, [b.row0.support() for b in h.blocks], h.params.r)
+    n, r = h.params.n, h.params.r
+    planes = _upc_planes(syndrome(h, word).value, [b.row0.support() for b in h.blocks], r,
+                         (1 << r) - 1)
     upc = np.zeros(n, dtype=np.int32)
     for k, plane in enumerate(planes):
         raw = np.frombuffer(plane.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
@@ -227,44 +244,66 @@ def upc_profile(h: QcParityCheck, word: BitVector) -> np.ndarray:
 
 
 def decode(h: QcParityCheck, word: BitVector, cfg: DecoderConfig) -> DecodeOutcome:
-    """Deterministic bit-flipping decode of ``word`` against parity check ``h``.
+    """Deterministic bit-flipping decode of ``word`` against parity check ``h``:
+    ``decode_many`` with one lane."""
+    return decode_many(h, (word,), cfg)[0]
 
-    The whole state is packed ints: the error estimate e (n bits), the
-    syndrome s of word + e (r bits), which every flip moves by the flipped
-    bits' own syndrome, the upc counts and backflip's ttl as bit planes.
+
+def decode_many(h: QcParityCheck, words: Sequence[BitVector],
+                cfg: DecoderConfig) -> tuple[DecodeOutcome, ...]:
+    """Decode several words against one parity check in a single pass.
+
+    Word l takes lane l, bits l n to l n + n - 1 of every packed int (see the
+    module docstring): the error estimate e, the syndrome s of word + e,
+    which every flip moves by the flipped bits' own syndrome, the upc
+    counts and backflip's ttl as bit planes.  A lane leaves the pass when
+    its syndrome reaches zero, when it stalls or at ``max_iters``, and takes
+    no flips after; outcome l is what a pass over word l alone gives.
     """
     r, n = h.params.r, h.params.n
-    if word.length != n:
-        raise ValueError("word length differs from code length")
+    full = (1 << n) - 1
+    y, live = 0, {}  # live: the n-bit mask of every lane still decoding
+    for lane, word in enumerate(words):
+        if word.length != n:
+            raise ValueError("word length differs from code length")
+        y |= word.value << lane * n
+        live[lane] = full << lane * n
+    lanes = len(live)
+    within = (1 << lanes * n) - 1  # the live masks together
+    blocks = within // full * ((1 << r) - 1)  # the r bits at the foot of every lane
     h_t_rows = _transposed_rows(h)
     supports = [b.row0.support() for b in h.blocks]
     weights = h.block_weights
-    full = (1 << n) - 1
-    s = _block_dot(word.value, h_t_rows, r)
+    s = _block_dot(y, h_t_rows, r, blocks)
     e = 0
+    outcomes: list[DecodeOutcome | None] = [None] * lanes
 
-    def toggle(flips: int) -> bool:
-        """Flip the selected bits of e at once; True once s is zero."""
-        nonlocal e, s
-        e ^= flips
-        s ^= _block_dot(flips, h_t_rows, r)
-        return s == 0
+    def end(lane: int, iterations: int, success: bool) -> None:
+        """Take the lane out of the pass with its outcome."""
+        nonlocal within
+        within ^= live.pop(lane)
+        if success:
+            error = BitVector(n, e >> lane * n & full)
+            outcomes[lane] = DecodeOutcome(True, iterations, words[lane] ^ error, error)
+        else:
+            outcomes[lane] = DecodeOutcome(False, iterations, None, None)
 
-    def success(iterations: int) -> DecodeOutcome:
-        error = BitVector(n, e)
-        return DecodeOutcome(True, iterations, word ^ error, error)
-
-    if s == 0:
-        return success(0)
+    for lane, bits in list(live.items()):
+        if not s & bits:
+            end(lane, 0, True)
+    if not live:
+        return tuple(outcomes)
 
     backflip = cfg.variant == "backflip"
     levels = TTL_SATURATION if backflip else 1
-    majority = tuple((w + 2) // 2 for w in weights)  # ceil((colWeight + 1) / 2)
+    if cfg.threshold == "majority":  # ceil((colWeight + 1) / 2), the same every iteration
+        bounds = _ttl_bounds(tuple((w + 2) // 2 for w in weights) * lanes, weights * lanes,
+                             r, levels)
     ttl = [0] * TTL_SATURATION.bit_length()  # bit planes; 0 = not pending
+    pending = 0
     for iteration in range(1, cfg.max_iters + 1):
-        upc = _upc_planes(s, supports, r)
-        pending = _any(ttl)
-        if pending:
+        upc = _upc_planes(s, supports, r, blocks)
+        if backflip and (pending := _any(ttl)):
             borrow = pending  # ttl -= 1 on the pending bits
             for k, plane in enumerate(ttl):
                 ttl[k] = plane ^ borrow
@@ -273,30 +312,37 @@ def decode(h: QcParityCheck, word: BitVector, cfg: DecoderConfig) -> DecodeOutco
             expired = pending ^ (pending & _any(ttl))
             undo = expired & _any(upc)
             if undo:
-                if toggle(undo):
-                    return success(iteration)
-                upc = _upc_planes(s, supports, r)
+                e ^= undo  # a lane whose s it clears counts 0, so takes no flips below
+                s ^= _block_dot(undo, h_t_rows, r, blocks)
+                upc = _upc_planes(s, supports, r, blocks)
             pending ^= expired
 
-        if cfg.threshold == "majority":
-            thresholds = majority
-        else:  # max-upc-delta; clamp so zero-count bits never qualify
-            thresholds = (max(_max_count(upc) - cfg.delta, 1),) * len(weights)
-        bounds = _ttl_bounds(thresholds, weights, r, levels)
-        flips = _at_least(upc, bounds[0], full)
-
-        if not flips and not pending:
-            return DecodeOutcome(False, iteration, None, None)  # stalled: nothing can change
+        if cfg.threshold == "max-upc-delta":  # per lane; clamp so zero-count bits never qualify
+            tops = (max(_max_count(upc, live.get(lane, 0)) - cfg.delta, 1)
+                    for lane in range(lanes))  # an ended lane counts 0 here
+            bounds = _ttl_bounds(tuple(top for top in tops for _ in weights), weights * lanes,
+                                 r, levels)
+        flips = _at_least(upc, bounds[0], within)
 
         if flips:
             if backflip:
                 fresh = flips ^ (flips & pending)  # the rest: undo a pending flip early
                 fresh_ttl = _fresh_ttl(upc, bounds, fresh)
                 ttl = [(plane ^ (plane & flips)) | f for plane, f in zip(ttl, fresh_ttl)]
-            if toggle(flips):
-                return success(iteration)
+            e ^= flips  # all selected bits at once
+            s ^= _block_dot(flips, h_t_rows, r, blocks)
+        active = flips | pending
+        for lane, bits in list(live.items()):
+            if not s & bits:  # by the undo or by the flips
+                end(lane, iteration, True)
+            elif not active & bits:
+                end(lane, iteration, False)  # stalled: nothing can change
+        if not live:
+            break
 
-    return DecodeOutcome(False, cfg.max_iters, None, None)
+    for lane in list(live):
+        end(lane, cfg.max_iters, False)
+    return tuple(outcomes)
 
 
 # ---------------------------------------------------------------------------

@@ -203,6 +203,9 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_attack_demo(args) -> int:
+    for flag, value in (("--samples", args.samples), ("--stern-iterations", args.stern_iterations)):
+        if value < 0:
+            raise ValueError(f"{flag} must be nonnegative")
     params = SchemeParams(
         n0=2, r=args.r, w1=args.w1, w2=args.w2, t1=args.t1, t2=args.t2
     )

@@ -25,11 +25,12 @@ and a row vector times a circulant is again a polynomial product, so a row
 vector times a column of circulants is a sum of them (``_block_dot``, shared
 by ``BlockMatrix.vec_mul``, the syndrome and the decoder).
 
-Every product goes through ``_mul_mod``, which has two branches on the
+Every product goes through ``_mul``, which has two branches on the
 weight of the lighter operand: up to ``_SPARSE_MAX_WEIGHT`` (the rows of H)
 one shift-xor per set bit, above it (S, S^-1, the public generator, the
 plaintext) a comb over 32-bit chunks, eight 4-bit windows each, with one
-shift-xor into the accumulator per nonzero chunk.
+shift-xor into the accumulator per nonzero chunk.  ``_mul`` does not
+reduce: ``_mul_mod`` folds one product, ``_block_dot`` the sum of several.
 """
 
 from __future__ import annotations
@@ -137,8 +138,8 @@ class BitVector:
 _SPARSE_MAX_WEIGHT = 192
 
 
-def _mul_mod(a: int, b: int, r: int) -> int:
-    """a(x) * b(x) mod (x^r - 1) over the lighter operand a, folded once.
+def _mul(a: int, b: int) -> int:
+    """The unreduced product a(x) * b(x), over the lighter operand a.
 
     A sparse a (weight at most ``_SPARSE_MAX_WEIGHT``, as every row of H) is
     iterated bit by bit: a weight-w row costs w shift-xors regardless of b's
@@ -146,8 +147,8 @@ def _mul_mod(a: int, b: int, r: int) -> int:
     at a time: t0[p] = p(x) * b(x) for every p of degree below 4, built by
     doubling, and t_k = t0 shifted by 4k for k = 1..7.  Each nonzero 32-bit
     chunk of a XORs together the eight entries its nibbles select, rows of
-    about r bits, and shifts that sum into the 2r-bit accumulator: one
-    accumulator update per chunk, not per byte.
+    b's length, and shifts that sum into the accumulator: one accumulator
+    update per chunk, not per byte.
     """
     if a.bit_count() > b.bit_count():
         a, b = b, a
@@ -169,17 +170,32 @@ def _mul_mod(a: int, b: int, r: int) -> int:
                     t0[w & 15] ^ t1[w >> 4] ^ t2[x & 15] ^ t3[x >> 4]
                     ^ t4[y & 15] ^ t5[y >> 4] ^ t6[z & 15] ^ t7[z >> 4]
                 ) << 32 * j
+    return acc
+
+
+def _mul_mod(a: int, b: int, r: int) -> int:
+    """a(x) * b(x) mod (x^r - 1) for a, b of degree below r: the product has
+    degree below 2r - 1, so one fold of the top r bits onto the bottom."""
+    acc = _mul(a, b)
     return (acc & ((1 << r) - 1)) ^ (acc >> r)
 
 
-def _block_dot(y: int, rows: list[int], r: int) -> int:
+def _block_dot(y: int, rows: list[int], r: int, blocks: int | None = None) -> int:
     """sum_i y_i(x) * rows[i](x) mod (x^r - 1) over the r-bit blocks y_i of
-    the packed word y: a row vector times one column of circulants."""
-    mask = (1 << r) - 1
+    the packed word y: a row vector times one column of circulants.
+
+    y may pack several words of n >= 2r bits, word l at bit l n; ``blocks``
+    is then the r-bit mask at the foot of every word, and the result holds
+    word l's sum at bit l n.  Block i of every word is multiplied at once,
+    each product staying inside its word, and the unreduced products are
+    summed and folded once: folding is linear, so the sum is the same as
+    folding every product.
+    """
+    mask = (1 << r) - 1 if blocks is None else blocks
     acc = 0
     for i, row in enumerate(rows):
-        acc ^= _mul_mod((y >> i * r) & mask, row, r)
-    return acc
+        acc ^= _mul((y >> i * r) & mask, row)
+    return (acc & mask) ^ (acc >> r & mask)
 
 
 # _REV8[i] is the byte i with its bit order reversed

@@ -16,16 +16,19 @@ from plotkin_pke.bitflip import (
     SelectionError,
     backflip_config,
     classic_bf_config,
+    DecodeOutcome,
     clopper_pearson,
     decode,
+    decode_many,
     estimate_dfr,
     select_t_for_dfr,
     upc_profile,
 )
-from plotkin_pke.gf2 import BitVector, BlockMatrix, CirculantBlock, sample_fixed_weight
+from plotkin_pke.gf2 import BitVector, BlockMatrix, CirculantBlock, _block_dot, sample_fixed_weight
 from plotkin_pke.qc import (
     QcParams,
     QcParityCheck,
+    _transposed_rows,
     derive_generator,
     encode,
     sample_parity_check,
@@ -163,6 +166,8 @@ def test_decode_length_mismatch(make_rng):
     short = BitVector(13, 0)
     with pytest.raises(ValueError):
         decode(h, short, classic_bf_config())
+    with pytest.raises(ValueError):
+        decode_many(h, (BitVector(26, 0), short), classic_bf_config())
     with pytest.raises(ValueError):
         syndrome(h, short)
     with pytest.raises(ValueError):
@@ -308,6 +313,128 @@ def test_decode_max_upc_rule(make_rng):
                            max_iters=30, delta=0)
     out = decode(h, y, maxupc)
     assert out.success and out.codeword == cw
+
+
+# --- decode_many --------------------------------------------------------------
+
+
+def reference_decode(h, word, cfg):
+    """The one-word loop decode_many replaced, kept as its oracle: the
+    outcome, and how the decode ended (clean, undo, flip, stall, max_iters)."""
+    r, n = h.params.r, h.params.n
+    h_t_rows = _transposed_rows(h)
+    supports = [b.row0.support() for b in h.blocks]
+    weights = h.block_weights
+    full = (1 << n) - 1
+    s = _block_dot(word.value, h_t_rows, r)
+    e = 0
+
+    def toggle(flips):
+        nonlocal e, s
+        e ^= flips
+        s ^= _block_dot(flips, h_t_rows, r)
+        return s == 0
+
+    def success(iterations, ending):
+        error = BitVector(n, e)
+        return DecodeOutcome(True, iterations, word ^ error, error), ending
+
+    if s == 0:
+        return success(0, "clean")
+
+    sat = bitflip.TTL_SATURATION
+    levels = sat if cfg.variant == "backflip" else 1
+    majority = tuple((w + 2) // 2 for w in weights)
+    ttl = [0] * sat.bit_length()
+    for iteration in range(1, cfg.max_iters + 1):
+        upc = bitflip._upc_planes(s, supports, r, (1 << r) - 1)
+        pending = bitflip._any(ttl)
+        if pending:
+            borrow = pending
+            for k, plane in enumerate(ttl):
+                ttl[k] = plane ^ borrow
+                borrow &= ttl[k]
+            expired = pending ^ (pending & bitflip._any(ttl))
+            undo = expired & bitflip._any(upc)
+            if undo:
+                if toggle(undo):
+                    return success(iteration, "undo")
+                upc = bitflip._upc_planes(s, supports, r, (1 << r) - 1)
+            pending ^= expired
+        if cfg.threshold == "majority":
+            thresholds = majority
+        else:
+            thresholds = (max(bitflip._max_count(upc, full) - cfg.delta, 1),) * len(weights)
+        bounds = bitflip._ttl_bounds(thresholds, weights, r, levels)
+        flips = bitflip._at_least(upc, bounds[0], full)
+        if not flips and not pending:
+            return DecodeOutcome(False, iteration, None, None), "stall"
+        if flips:
+            if cfg.variant == "backflip":
+                fresh = flips ^ (flips & pending)
+                fresh_ttl = bitflip._fresh_ttl(upc, bounds, fresh)
+                ttl = [(plane ^ (plane & flips)) | f for plane, f in zip(ttl, fresh_ttl)]
+            if toggle(flips):
+                return success(iteration, "flip")
+    return DecodeOutcome(False, cfg.max_iters, None, None), "max_iters"
+
+
+LANE_CONFIGS = (
+    backflip_config(),
+    classic_bf_config(),
+    classic_bf_config(threshold="max-upc-delta", delta=0),
+    backflip_config(threshold="max-upc-delta", delta=1),
+)
+LDPC3 = QcParams(3, 101, 10, "ldpc")  # block weights 4, 3, 3: majority thresholds 3, 2, 2
+
+
+def _lane_checks(i):
+    """Seeded checks at r = 101: n0 = 2, n0 = 3 and its copy with an empty
+    first block, which rotations_parity_check can give."""
+    rng = substream(b"\x4c" * 32, i)
+    two = sample_parity_check(rng, QcParams(2, 101, 6, "ldpc"))
+    three = sample_parity_check(rng, LDPC3)
+    assert three.block_weights == (4, 3, 3)
+    holed = QcParityCheck(LDPC3, (CirculantBlock(101, BitVector(101, 0)),) + three.blocks[1:])
+    return rng, (two, three, holed)
+
+
+@pytest.mark.parametrize("cfg", LANE_CONFIGS)
+def test_decode_many_matches_reference(cfg):
+    # twelve words from clean to hopeless, cut into passes of 1, 2, 3 and 5
+    # lanes (the last pass short): every lane's outcome is its own decode's
+    rng, checks = _lane_checks(0)
+    for h in checks:
+        words = [sample_fixed_weight(rng, h.params.n, t)
+                 for t in (0, 1, 2, 3, 4, 5, 6, 8, 12, 20, 2, 0)]
+        want = [reference_decode(h, y, cfg)[0] for y in words]
+        assert {out.success for out in want} == {True, False}
+        for lanes in (1, 2, 3, 5):
+            got = []
+            for k in range(0, len(words), lanes):
+                got += decode_many(h, words[k:k + lanes], cfg)
+            assert got == want, lanes
+
+
+@pytest.mark.parametrize("cfg, endings", [
+    (backflip_config(), ("max_iters", "clean", "undo", "stall", "flip")),
+    (classic_bf_config(), ("max_iters", "clean", "stall", "flip")),
+])
+def test_decode_many_every_ending_in_one_pass(cfg, endings):
+    # the first seeded word to end each way, all in one pass, so lanes
+    # leave at iteration 0, on an undo, on a flip and by a stall while
+    # their neighbours run on to max_iters
+    rng = substream(b"\x4d" * 32, 0)
+    h = sample_parity_check(rng, LDPC3)
+    first = {}
+    for j in range(60):
+        y = sample_fixed_weight(rng, LDPC3.n, j % 8)
+        out, ending = reference_decode(h, y, cfg)
+        first.setdefault(ending, (y, out))
+    assert set(first) == set(endings)
+    words, want = zip(*(first[ending] for ending in endings))
+    assert decode_many(h, words, cfg) == want
+    assert decode_many(h, words[::-1], cfg) == want[::-1]
 
 
 def test_config_validation():

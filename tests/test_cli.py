@@ -327,6 +327,18 @@ def test_attack_demo_without_a_row_runs_one_search(capsys, monkeypatch):
     assert record["samples"] == []
 
 
+@pytest.mark.parametrize("flag, value", [("--samples", "-3"), ("--stern-iterations", "-1")])
+def test_attack_demo_rejects_negative_counts(capsys, monkeypatch, flag, value):
+    # a negative Stern budget would report "rowFound": false for a search
+    # that never ran; both are rejected before a key is drawn
+    keygens = []
+    monkeypatch.setattr(cli, "keygen", lambda *args: keygens.append(args))
+    code, out, err = _run(capsys, ["attack-demo", flag, value, "--seed", SEED_A])
+    assert code == 2
+    assert out == "" and flag in err
+    assert keygens == []
+
+
 @pytest.fixture(scope="module")
 def desk_files(tmp_path_factory):
     """Valid r=13 key pair, plaintext and ciphertext, as bytes."""

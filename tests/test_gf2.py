@@ -13,6 +13,7 @@ from plotkin_pke.gf2 import (
     CirculantBlock,
     NotInvertibleError,
     _SPARSE_MAX_WEIGHT,
+    _block_dot,
     _mul_mod,
     _transpose_row,
     sample_fixed_weight,
@@ -203,6 +204,27 @@ def test_dense_products_pinned_digest(make_rng):
             for x, y in ((a, b), (a | c, b), (a | b | c, c), ((1 << r) - 1, b)):
                 h.update(_mul_mod(x, y, r).to_bytes((r + 7) // 8, "little"))
     assert h.hexdigest() == "09bd89176d7a499e2c7137cfb9e9cad0025e5eecda4098b58712f7a9daaf6a6e"
+
+
+@pytest.mark.parametrize("comb_from", [_SPARSE_MAX_WEIGHT, 0])
+@pytest.mark.parametrize("r, n0", [(101, 2), (101, 3), (523, 2), (523, 3)])
+def test_block_dot_lanes_match_one_word_each(make_rng, monkeypatch, r, n0, comb_from):
+    # words of n = n0 r bits packed at bit l n, with the r-bit mask at the
+    # foot of every lane: the packed sum holds each word's own at bit l n.
+    # Sparse and dense rows and words; a cut-off of 0 sends every product
+    # through the comb, which otherwise sees only the dense r = 523 pairs
+    monkeypatch.setattr(gf2, "_SPARSE_MAX_WEIGHT", comb_from)
+    rng = make_rng(r * n0)
+    n = n0 * r
+    for row_weight in (3, r // 2):
+        rows = [sample_fixed_weight(rng, r, row_weight).value for _ in range(n0)]
+        for lanes in (1, 2, 4):
+            blocks = sum(((1 << r) - 1) << lane * n for lane in range(lanes))
+            for word_weight in (5, n // 2):
+                words = [sample_fixed_weight(rng, n, word_weight).value for _ in range(lanes)]
+                packed = sum(y << lane * n for lane, y in enumerate(words))
+                want = sum(_block_dot(y, rows, r) << lane * n for lane, y in enumerate(words))
+                assert _block_dot(packed, rows, r, blocks) == want
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 7, 8, 9, 523, 11779])

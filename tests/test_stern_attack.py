@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from plotkin_pke import dense, stern
+from plotkin_pke import attack, dense, stern
 from plotkin_pke.attack import (
     _rotations_complete,
     recover_dual_structure,
@@ -326,6 +326,43 @@ def test_attack_demo_fails_to_recover_plaintext(make_rng):
         if 0.4 * n <= report.residual_weight <= 0.6 * n:
             in_band += 1
     assert in_band >= 19
+
+
+def test_attack_demo_known_answer():
+    # the reports of 20 ciphertexts on each of 3 lab keys, recorded when
+    # c2 and c1 + c2 each had a decode of their own: sharing one pass
+    # must not change what either reports
+    record = []
+    for i in range(3):
+        rng = substream(b"\x6b" * 32, i)
+        pk, _ = keygen(LAB, rng)
+        rec = recover_dual_structure(pk, rng, max_iterations=50)
+        assert rec is not None
+        for _ in range(20):
+            m = BitVector(LAB.plaintext_bits, rng.take_bits(LAB.plaintext_bits))
+            ct = encrypt(pk, m, rng)
+            record.append(weak_key_attack_demo(pk, ct, m, rng, recovered=rec).to_dict())
+    digest = hashlib.sha256(json.dumps(record).encode()).hexdigest()
+    assert digest == "ab26d458211eab6fcc8295040b1003b19a1ba629d4edb65dd31b78ac4d10ab88"
+
+
+def test_attack_demo_one_decoder_pass_per_ciphertext(make_rng, monkeypatch):
+    rng = make_rng(0x5a)
+    pk, _ = keygen(LAB, rng)
+    rec = recover_dual_structure(pk, rng, max_iterations=500)
+    assert rec is not None
+    passes = []
+    decode_many = attack.decode_many
+
+    def counting(h, words, cfg):
+        passes.append(len(words))
+        return decode_many(h, words, cfg)
+
+    monkeypatch.setattr(attack, "decode_many", counting)
+    for _ in range(3):
+        m = BitVector(LAB.plaintext_bits, rng.take_bits(LAB.plaintext_bits))
+        weak_key_attack_demo(pk, encrypt(pk, m, rng), m, rng, recovered=rec)
+    assert passes == [2, 2, 2]
 
 
 def test_attack_demo_without_a_found_row(make_rng):
