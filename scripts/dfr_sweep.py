@@ -33,6 +33,8 @@ def main() -> int:
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--seed", default="20" * 32, help="64 hex chars")
     args = parser.parse_args()
+    if args.workers < 1:
+        parser.error("--workers must be positive")
 
     params = QcParams(n0=args.n0, r=args.r, w=args.w, flavor=args.flavor)
     config = backflip_config if args.variant == "backflip" else classic_bf_config

@@ -496,11 +496,13 @@ def estimate_dfr(params: QcParams, t: int, cfg: DecoderConfig, trials: int,
     Trial i draws everything from the independent substream
     derive(seed, i) of the master seed, so the report is bit-for-bit
     reproducible and does not depend on how trials are split across
-    workers.  Worker results are merged in worker order.  ``workers`` is
-    capped at the trial count and the CPU count.
+    workers.  Worker results are merged in worker order.  ``workers`` must
+    be positive and is capped at the trial count and the CPU count.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
+    if workers < 1:
+        raise ValueError("workers must be positive")
     workers = min(workers, trials, os.cpu_count() or 1)
     seed = rng.seed
     job = partial(_dfr_range, params, t, cfg, seed)

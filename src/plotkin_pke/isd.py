@@ -7,7 +7,11 @@ code (syndrome decoding), each returning log2 of the expected work:
   elimination and succeeds iff the information set misses every error bit.
 * ``stern``:  allow p errors in each half of the information set plus an
   ell-bit zero window, meet the halves in the middle; parameters (p, ell)
-  are grid-optimized.
+  are grid-optimized.  The model prices independent restarts, each with a
+  full elimination.  The concrete ``stern.stern_search`` chains its
+  restarts by a few column swaps each: that keeps the expected hits per
+  restart but clusters them, so on a single target the restarts per find
+  rise while the time to find holds.
 * ``bjmm2``:  depth-2 representation technique: weight p over the k+ell
   window built from two weight p/2+eps halves, with the representation
   surplus filtered on r1 = floor(log2 #representations) bits; parameters

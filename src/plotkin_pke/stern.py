@@ -1,11 +1,21 @@
 """A concrete (desk-scale) Stern search for low-weight dual codewords.
 
 Given a systematic generator [I_k | A] of an [n, k] code, the dual code is
-generated by H = [A^T | I_{n-k}].  Each restart permutes the columns,
-row-reduces H onto a fresh information set, splits the reduced rows into
-two halves, and meets pairs of rows (Stern's p = 2) from each half in the
-middle on an ell-bit window; colliding pairs whose combined row has total
-weight <= the target are returned as dual codewords.
+generated by H = [A^T | I_{n-k}].  Each restart draws a column permutation,
+brings H to a reduced form [I_d | B] on an information set, splits the
+reduced rows into two halves, and meets pairs of rows (Stern's p = 2) from
+each half in the middle on an ell-bit window; colliding pairs whose combined
+row has total weight <= the target are returned as dual codewords.
+
+Restart 1 row-reduces H in full onto its permutation.  Later restarts are
+chained, as in Canteaut-Chabaud (IEEE-IT 1998) and Bernstein-Lange-Peters
+(PQCrypto 2008): they keep the previous [I_d | B] and swap only
+``_CHAIN_SWAPS`` columns into the information set, one pivot each, then sort
+the rows and tail columns by the new permutation so the halves and the
+window are drawn afresh.  The shuffle is a restart's only draw from the
+stream, so a search that ends on restart 1 finds what a search of full
+reductions finds.  Chained restarts keep the expected hits per restart
+but cluster them, since neighbouring information sets overlap.
 
 The meet in the middle is one numpy sort-join per restart.  The reduced
 tails are packed into uint64 words, each half's pair sums are built at
@@ -19,7 +29,8 @@ appearance, then left pair, then right pair, with pairs in
 This is the runnable counterpart of the ``stern`` cost model in ``isd``:
 the estimators say how big the numbers get at cryptographic sizes, this
 module actually finds sparse parity rows at lab sizes (n of a few hundred
-to a few thousand); at r = 101 a restart takes a few milliseconds.
+to a few thousand); at r = 101 a full restart takes a few milliseconds and
+a chained one about half of that.
 """
 
 from __future__ import annotations
@@ -35,6 +46,7 @@ from .rng import RandomStream
 
 P = 2  # rows taken from each half; the pair tables below hold exactly two
 _JOIN_CHUNK = 1 << 12  # colliding pairs weighed at once; their arrays stay in cache
+_CHAIN_SWAPS = 8  # tail columns a chained restart brings into the information set
 
 
 @dataclass(frozen=True)
@@ -69,6 +81,35 @@ def _reduce_onto_information_set(
         order[col], order[swap] = order[swap], order[col]
         pivot(m, col, col)
     return m, order
+
+
+def _chain_information_set(
+    m: np.ndarray, order: list[int], perm: list[int]
+) -> tuple[np.ndarray, list[int]]:
+    """Move a reduced [I_d | B] over the columns ``order`` toward ``perm``.
+
+    The ``_CHAIN_SWAPS`` tail columns that come first in ``perm`` enter the
+    information set, each with one pivot on the row with a one there whose
+    information column comes last in ``perm``.  Then the rows and the tail
+    columns are sorted by their place in ``perm``.  ``m`` and ``order`` are
+    updated in place on the way; the results are fresh.
+    """
+    d, n = m.shape
+    place = np.empty(n, dtype=np.intp)
+    place[perm] = np.arange(n)
+    place = place[order]  # where each column of m falls in perm
+    for col in d + np.argsort(place[d:])[:_CHAIN_SWAPS]:
+        rows = np.flatnonzero(m[:, col])
+        if rows.size == 0:
+            continue  # a zero column cannot enter
+        row = int(rows[np.argmax(place[rows])])
+        pivot(m, row, col)
+        m[:, [row, col]] = m[:, [col, row]]
+        place[[row, col]] = place[[col, row]]
+        order[row], order[col] = order[col], order[row]
+    rows = np.argsort(place[:d])
+    cols = np.concatenate([rows, d + np.argsort(place[d:])])
+    return m[np.ix_(rows, cols)], [order[j] for j in cols]
 
 
 def _pair_tables(d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -134,8 +175,10 @@ def stern_search(
     systematic [I|A] form, 0/1 entries) for a word of weight <= target.
 
     Every returned word v satisfies v G^T = 0.  ``max_iterations`` bounds
-    the number of information-set restarts; the search is deterministic
-    given the stream.
+    the number of information-set restarts.  Each restart draws one
+    shuffle from the stream and nothing else; restart 1 is a full
+    reduction and later ones are chained from it, so the search is
+    deterministic given the stream.
     """
     gen_sys = np.asarray(gen_sys, dtype=np.uint8) & 1
     k, n = gen_sys.shape
@@ -150,12 +193,16 @@ def stern_search(
     window = max(1, min(n - d, int(max(2.0, log2_binom(d // 2, P)))))
     pairs = _pair_tables(d)
 
+    reduced = None
     for iteration in range(1, max_iterations + 1):
         perm = list(range(n))
         rng.shuffle(perm)
-        reduced = _reduce_onto_information_set(dual, perm)
         if reduced is None:
-            continue
+            reduced = _reduce_onto_information_set(dual, perm)
+            if reduced is None:
+                continue
+        else:
+            reduced = _chain_information_set(*reduced, perm)
         m, order = reduced
         hits = _hits(m[:, d:], pairs, window, target_weight - 2 * P)
         if len(hits):

@@ -537,6 +537,13 @@ def test_estimate_dfr_caps_workers(monkeypatch):
     assert capped == estimate_dfr(TOY_LDPC, 2, cfg, 6, RandomStream(b"\x06" * 32), workers=1)
 
 
+@pytest.mark.parametrize("workers", [0, -5])
+def test_estimate_dfr_rejects_nonpositive_workers(workers):
+    with pytest.raises(ValueError, match="workers"):
+        estimate_dfr(TOY_LDPC, 2, classic_bf_config(), 6, RandomStream(b"\x07" * 32),
+                     workers=workers)
+
+
 def _codeword_trial_failures(params, t, cfg, trials, seed):
     # reference trial: decode codeword + e and compare codewords, where
     # estimate_dfr decodes e alone

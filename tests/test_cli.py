@@ -256,6 +256,16 @@ def test_dfr_estimate_mode(capsys):
     assert record["seed"] == SEED_A
 
 
+@pytest.mark.parametrize("workers", ["0", "-5"])
+def test_dfr_rejects_nonpositive_workers(capsys, workers):
+    # a count below one used to run serially and exit 0
+    code, out, err = _run(capsys, [
+        "dfr", "--preset", "toy", "--trials", "2", "--workers", workers, "--seed", SEED_A,
+    ])
+    assert code == 2
+    assert out == "" and "workers" in err
+
+
 def test_dfr_select_mode(capsys):
     code, out, _ = _run(capsys, [
         "dfr", "--preset", "toy", "--coordinate", "2",

@@ -5,6 +5,8 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 from plotkin_pke.bitflip import backflip_config, classic_bf_config
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -49,6 +51,19 @@ def test_dfr_sweep(monkeypatch, capsys):
     _run_script("dfr_sweep", [*args, "--variant", "backflip", "--max-iters", "7"],
                 monkeypatch, capsys, module)
     assert configs == [backflip_config(max_iters=7)] * 2
+
+
+def test_dfr_sweep_rejects_nonpositive_workers(monkeypatch, capsys):
+    module = _load_script("dfr_sweep")
+    for workers in ("0", "-5"):
+        monkeypatch.setattr(sys, "argv", ["dfr_sweep.py", "--r", "13", "--w", "5",
+                                          "--flavor", "mdpc", "--t-max", "1",
+                                          "--workers", workers])
+        with pytest.raises(SystemExit) as info:
+            module.main()
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--workers" in captured.err
 
 
 def test_workfactor_table(monkeypatch, capsys):

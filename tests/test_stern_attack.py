@@ -35,6 +35,7 @@ from plotkin_pke.scheme import (
     ldpc_decoder_config,
 )
 from plotkin_pke.stern import (
+    _chain_information_set,
     _dual_generator,
     _hits,
     _pair_tables,
@@ -115,6 +116,52 @@ def test_eliminations_match_row_space_oracle():
         assert sorted(order) == list(range(cols))
         assert (m[:, :rows] == np.eye(rows, dtype=np.uint8)).all()
         assert _row_space(m) == _row_space(a[:, order])
+
+
+def test_chained_restarts_match_row_space_oracle(make_rng):
+    # after every chained restart m is still [I_d | B] over a column order
+    # whose dual rows it spans; rows and tail columns follow the drawn
+    # permutation and at most _CHAIN_SWAPS columns enter the information set
+    duals = []
+    for i in range(2):
+        rng = substream(b"\x7b" * 32, i)
+        pk, _ = keygen(LAB, rng)
+        duals.append((_dual_generator(systematic_public_generator(pk)), rng))
+    rng = make_rng(0x5c)
+    duals.append((_dual_generator(_planted_instance(rng)[0]), rng))
+    for dual, rng in duals:
+        d, n = dual.shape
+        perm = list(range(n))
+        rng.shuffle(perm)
+        m, order = _reduce_onto_information_set(dual, perm)
+        for _ in range(25):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            before = set(order[:d])
+            m, order = _chain_information_set(m, order, perm)
+            assert (m[:, :d] == np.eye(d, dtype=np.uint8)).all()
+            assert sorted(order) == list(range(n))
+            assert dense.rank(np.concatenate([m, dual[:, order]])) == d
+            place = [perm.index(c) for c in order]
+            assert place[:d] == sorted(place[:d]) and place[d:] == sorted(place[d:])
+            assert 0 < len(set(order[:d]) - before) <= stern._CHAIN_SWAPS
+
+
+def test_one_full_reduction_per_search(make_rng, monkeypatch):
+    rng = make_rng(0x5d)
+    gen, _ = _planted_instance(rng)
+    calls = []
+    reduce = stern._reduce_onto_information_set
+
+    def counting(rows, perm):
+        calls.append(perm)
+        return None if deficient and len(calls) == 1 else reduce(rows, perm)
+
+    monkeypatch.setattr(stern, "_reduce_onto_information_set", counting)
+    for deficient, restarts, expect in ((False, 1, 1), (False, 6, 1), (True, 6, 2)):
+        calls.clear()
+        assert stern_search(gen, 1, rng, max_iterations=restarts).iterations == restarts
+        assert len(calls) == expect  # a rank-deficient restart 1 leaves nothing to chain
 
 
 def test_stern_trivial_target_first_iteration(make_rng):
@@ -203,25 +250,68 @@ def test_hits_match_nested_loop_in_search_order(monkeypatch):
             assert got == expect
 
 
-@pytest.mark.parametrize("params, keys, restarts", [
-    (LAB, 4, 40),
-    (SchemeParams(2, 211, 14, 6, 4, 4), 2, 20),
-])
-def test_hit_count_matches_stern_cost_model(params, keys, restarts):
+def _searched_tails(params, keys, restarts, monkeypatch):
+    """The tails of every eighth restart stern_search itself meets
+    (restart 1 full, the rest chained), over seeded searches on the keys
+    of ``_reduced_tails``: ``restarts`` tails per key."""
+    # neighbouring chained restarts share most of the information set, so
+    # their hit counts correlate (about 0.17 at lag 1 for r = 211), which
+    # would make a Poisson interval over consecutive restarts too narrow;
+    # eight restarts apart the correlation is about 0.01
+    every = 8
+    seen = []
+    calls = iter(range(1, keys * restarts * every + 1))
+
+    def spy(tail, pairs, window, budget):
+        if next(calls) % every == 0:
+            seen.append((tail.copy(), window))
+        return np.empty((0, 4), dtype=np.intp)  # as for any target below 2p
+
+    monkeypatch.setattr(stern, "_hits", spy)
+    for i in range(keys):
+        rng = substream(b"\x7a" * 32, i)
+        pk, _ = keygen(params, rng)
+        stern_search(systematic_public_generator(pk), 1, rng,
+                     max_iterations=restarts * every)
+    monkeypatch.undo()
+    assert len(seen) == keys * restarts
+    return seen
+
+
+def _assert_hits_match_stern_cost_model(params, tails):
     # isd's stern model: a restart catches each of the r rotations of the
     # weight-w2 row when two of its bits fall in each half of the
     # information set, none in the window and w2 - 4 in the rest of the tail
     n, d = params.n, params.n - params.k
     half = d // 2
     pairs = _pair_tables(d)
-    total = window = 0
-    for tail, window in _reduced_tails(params, keys, restarts):
+    total = restarts = window = 0
+    for tail, window in tails:
         total += len(_hits(tail, pairs, window, params.w2 - 4))
+        restarts += 1
     per_restart = (params.r * comb(half, 2) * comb(d - half, 2)
                    * comb(n - d - window, params.w2 - 4) / comb(n, params.w2))
     # exact (Garwood) Poisson 95% interval on the total count
     lo, hi = chi2.ppf(0.025, 2 * total) / 2, chi2.ppf(0.975, 2 * total + 2) / 2
-    assert lo <= per_restart * keys * restarts <= hi
+    assert lo <= per_restart * restarts <= hi
+
+
+@pytest.mark.parametrize("params, keys, restarts", [
+    (LAB, 4, 40),
+    (SchemeParams(2, 211, 14, 6, 4, 4), 2, 20),
+])
+def test_hit_count_matches_stern_cost_model(params, keys, restarts):
+    _assert_hits_match_stern_cost_model(params, _reduced_tails(params, keys, restarts))
+
+
+@pytest.mark.parametrize("params, keys, restarts", [
+    (LAB, 4, 40),
+    (SchemeParams(2, 211, 14, 6, 4, 4), 2, 20),
+])
+def test_chained_hit_count_matches_stern_cost_model(params, keys, restarts, monkeypatch):
+    # chained restarts keep the expected count but cluster their hits
+    tails = _searched_tails(params, keys, restarts, monkeypatch)
+    _assert_hits_match_stern_cost_model(params, tails)
 
 
 def test_stern_input_validation(make_rng):
