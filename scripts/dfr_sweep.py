@@ -35,18 +35,25 @@ def main() -> int:
     args = parser.parse_args()
     if args.workers < 1:
         parser.error("--workers must be positive")
+    if args.t_step < 1:
+        parser.error("--t-step must be positive")
 
-    params = QcParams(n0=args.n0, r=args.r, w=args.w, flavor=args.flavor)
-    config = backflip_config if args.variant == "backflip" else classic_bf_config
-    cfg = config() if args.max_iters is None else config(max_iters=args.max_iters)
-    seed = bytes.fromhex(args.seed)
-
-    for t in range(args.t_min, args.t_max + 1, args.t_step):
-        # Fresh stream per weight: reordering or truncating the sweep must not
-        # change any individual estimate.
-        rng = substream(seed, t)
-        report = estimate_dfr(params, t, cfg, trials=args.trials, rng=rng, workers=args.workers)
-        print(report.to_json(), flush=True)
+    try:
+        params = QcParams(n0=args.n0, r=args.r, w=args.w, flavor=args.flavor)
+        if args.t_max > params.n:  # checked before the sweep spends trials on smaller t
+            parser.error(f"--t-max exceeds the code length n = {params.n}")
+        config = backflip_config if args.variant == "backflip" else classic_bf_config
+        cfg = config() if args.max_iters is None else config(max_iters=args.max_iters)
+        seed = bytes.fromhex(args.seed)
+        for t in range(args.t_min, args.t_max + 1, args.t_step):
+            # Fresh stream per weight: reordering or truncating the sweep must not
+            # change any individual estimate.
+            rng = substream(seed, t)
+            report = estimate_dfr(params, t, cfg, trials=args.trials, rng=rng,
+                                  workers=args.workers)
+            print(report.to_json(), flush=True)
+    except ValueError as exc:
+        parser.error(str(exc))
     return 0
 
 

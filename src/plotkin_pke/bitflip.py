@@ -41,9 +41,10 @@ all lanes at once, unchanged.  At r = 101 an iteration is mostly
 interpreter overhead on ints of a few hundred bits, so a second lane
 costs little.  Only three things are per lane: the r-bit block masks of
 the upc rotations and of the syndrome fold (``gf2._block_dot``); the stop
-tests, where a lane whose syndrome is zero or that stalls leaves the pass
-and takes no more flips; and max-upc-delta's maximum count.  ``decode``
-is the one-lane case.
+test at the top of every iteration, where a lane whose syndrome is zero or
+that stalls leaves the pass and takes no more flips; and max-upc-delta's
+maximum count.  The outcomes are built from e once, after the pass.
+``decode`` is the one-lane case.
 
 The second half of the module estimates decoding failure rates (DFR) by
 Monte Carlo: fresh code and fresh weight-t error per trial, with exact
@@ -256,43 +257,28 @@ def decode_many(h: QcParityCheck, words: Sequence[BitVector],
     Word l takes lane l, bits l n to l n + n - 1 of every packed int (see the
     module docstring): the error estimate e, the syndrome s of word + e,
     which every flip moves by the flipped bits' own syndrome, the upc
-    counts and backflip's ttl as bit planes.  A lane leaves the pass when
-    its syndrome reaches zero, when it stalls or at ``max_iters``, and takes
-    no flips after; outcome l is what a pass over word l alone gives.
+    counts and backflip's ttl as bit planes.  One stop test, at the top of
+    every iteration, ends a lane whose syndrome is zero or that stalls; a
+    lane still running after ``max_iters`` iterations fails.  Outcome l,
+    built from e after the pass, is what a pass over word l alone gives.
     """
     r, n = h.params.r, h.params.n
     full = (1 << n) - 1
-    y, live = 0, {}  # live: the n-bit mask of every lane still decoding
+    y = 0
     for lane, word in enumerate(words):
         if word.length != n:
             raise ValueError("word length differs from code length")
         y |= word.value << lane * n
-        live[lane] = full << lane * n
-    lanes = len(live)
-    within = (1 << lanes * n) - 1  # the live masks together
+    lanes = len(words)
+    masks = [full << lane * n for lane in range(lanes)]
+    within = (1 << lanes * n) - 1  # the masks of the lanes still decoding
     blocks = within // full * ((1 << r) - 1)  # the r bits at the foot of every lane
     h_t_rows = _transposed_rows(h)
     supports = [b.row0.support() for b in h.blocks]
     weights = h.block_weights
     s = _block_dot(y, h_t_rows, r, blocks)
     e = 0
-    outcomes: list[DecodeOutcome | None] = [None] * lanes
-
-    def end(lane: int, iterations: int, success: bool) -> None:
-        """Take the lane out of the pass with its outcome."""
-        nonlocal within
-        within ^= live.pop(lane)
-        if success:
-            error = BitVector(n, e >> lane * n & full)
-            outcomes[lane] = DecodeOutcome(True, iterations, words[lane] ^ error, error)
-        else:
-            outcomes[lane] = DecodeOutcome(False, iterations, None, None)
-
-    for lane, bits in list(live.items()):
-        if not s & bits:
-            end(lane, 0, True)
-    if not live:
-        return tuple(outcomes)
+    spent = [cfg.max_iters] * lanes  # the iterations each lane took
 
     backflip = cfg.variant == "backflip"
     levels = TTL_SATURATION if backflip else 1
@@ -301,7 +287,15 @@ def decode_many(h: QcParityCheck, words: Sequence[BitVector],
                              r, levels)
     ttl = [0] * TTL_SATURATION.bit_length()  # bit planes; 0 = not pending
     pending = 0
-    for iteration in range(1, cfg.max_iters + 1):
+    active = within  # nothing stalls before the first pass
+    for done in range(cfg.max_iters + 1):
+        for lane, bits in enumerate(masks):
+            # decoded (zero syndrome), or stalled (nothing flipped or pending)
+            if within & bits and not (s & bits and active & bits):
+                spent[lane] = done
+                within ^= bits
+        if not within or done == cfg.max_iters:
+            break
         upc = _upc_planes(s, supports, r, blocks)
         if backflip and (pending := _any(ttl)):
             borrow = pending  # ttl -= 1 on the pending bits
@@ -318,8 +312,8 @@ def decode_many(h: QcParityCheck, words: Sequence[BitVector],
             pending ^= expired
 
         if cfg.threshold == "max-upc-delta":  # per lane; clamp so zero-count bits never qualify
-            tops = (max(_max_count(upc, live.get(lane, 0)) - cfg.delta, 1)
-                    for lane in range(lanes))  # an ended lane counts 0 here
+            tops = (max(_max_count(upc, within & bits) - cfg.delta, 1)
+                    for bits in masks)  # an ended lane counts 0 here
             bounds = _ttl_bounds(tuple(top for top in tops for _ in weights), weights * lanes,
                                  r, levels)
         flips = _at_least(upc, bounds[0], within)
@@ -332,16 +326,18 @@ def decode_many(h: QcParityCheck, words: Sequence[BitVector],
             e ^= flips  # all selected bits at once
             s ^= _block_dot(flips, h_t_rows, r, blocks)
         active = flips | pending
-        for lane, bits in list(live.items()):
-            if not s & bits:  # by the undo or by the flips
-                end(lane, iteration, True)
-            elif not active & bits:
-                end(lane, iteration, False)  # stalled: nothing can change
-        if not live:
-            break
 
-    for lane in list(live):
-        end(lane, cfg.max_iters, False)
+    # e and s still hold what every ended lane's last pass left: its flips
+    # are masked by within, and an undo needs an unsatisfied check, which a
+    # decoded lane lacks, and a pending bit, which a stalled lane lacks.  So
+    # a lane decoded exactly when its syndrome is zero now.
+    outcomes = []
+    for lane, (bits, iterations) in enumerate(zip(masks, spent)):
+        if s & bits:
+            outcomes.append(DecodeOutcome(False, iterations, None, None))
+        else:
+            error = BitVector(n, e >> lane * n & full)
+            outcomes.append(DecodeOutcome(True, iterations, words[lane] ^ error, error))
     return tuple(outcomes)
 
 

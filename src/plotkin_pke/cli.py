@@ -167,6 +167,8 @@ def _cmd_dfr(args) -> int:
     if args.target is not None:
         if args.budget is None:
             raise ValueError("--target requires --budget")
+        if args.t is not None:
+            raise ValueError("--t does not apply with --target, which selects t")
         t = select_t_for_dfr(qc_params, args.target, args.budget, cfg, rng)
         _print({
             "coordinate": args.coordinate,
@@ -175,6 +177,8 @@ def _cmd_dfr(args) -> int:
             "selectedT": t,
         })
         return EXIT_OK
+    if args.budget is not None:
+        raise ValueError("--budget requires --target")
     t = args.t if args.t is not None else default_t
     report = estimate_dfr(qc_params, t, cfg, args.trials, rng, workers=args.workers)
     _print(report.to_dict())

@@ -63,9 +63,16 @@ def _dual_generator(gen_sys: np.ndarray) -> np.ndarray:
 
 def _reduce_onto_information_set(
     rows: np.ndarray, perm: list[int]
-) -> tuple[np.ndarray, list[int]] | None:
-    """Gauss-Jordan the permuted rows to [I_d | B]; columns that fail to
-    yield a pivot are swapped behind the information set."""
+) -> tuple[np.ndarray, list[int]]:
+    """Gauss-Jordan the permuted rows, of full rank d, to [I_d | B]; columns
+    that fail to yield a pivot are swapped behind the information set.
+
+    When column col yields no pivot, a tail column with a one in rows
+    col..d-1 always exists: those rows have rank d - col and are zero in
+    columns < col and in column col itself, so with a zero tail they would
+    fit in the d - col - 1 columns col+1..d-1.  ``_dual_generator``'s
+    [A^T | I] always has rank d.
+    """
     d, n = rows.shape
     m = rows[:, perm].copy()
     order = list(perm)
@@ -73,10 +80,7 @@ def _reduce_onto_information_set(
         if pivot(m, col, col):
             continue
         # pull in the first later column that has a one below the diagonal
-        later = np.flatnonzero(m[col:, d:].any(axis=0))
-        if later.size == 0:
-            return None  # rank-deficient; caller restarts
-        swap = d + int(later[0])
+        swap = d + int(np.flatnonzero(m[col:, d:].any(axis=0))[0])
         m[:, [col, swap]] = m[:, [swap, col]]
         order[col], order[swap] = order[swap], order[col]
         pivot(m, col, col)
@@ -199,8 +203,6 @@ def stern_search(
         rng.shuffle(perm)
         if reduced is None:
             reduced = _reduce_onto_information_set(dual, perm)
-            if reduced is None:
-                continue
         else:
             reduced = _chain_information_set(*reduced, perm)
         m, order = reduced

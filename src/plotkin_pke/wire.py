@@ -60,22 +60,15 @@ def _pack_rows(rows: list[BitVector]) -> bytes:
     return acc.to_bytes((pos + 7) // 8, "little")
 
 
-def _unpack_rows(data: bytes, r: int, count: int) -> list[BitVector]:
-    total_bits = r * count
-    expected = (total_bits + 7) // 8
-    if len(data) < expected:
-        raise TruncatedPayloadError(
-            f"payload holds {len(data)} bytes, header implies {expected}"
-        )
-    if len(data) > expected:
-        raise PayloadLengthError(
-            f"payload holds {len(data)} bytes, header implies {expected}"
-        )
-    acc = int.from_bytes(data, "little")
-    if acc >> total_bits:
-        raise PayloadLengthError("padding bits past the payload are set")
-    mask = (1 << r) - 1
-    return [BitVector(r, (acc >> (i * r)) & mask) for i in range(count)]
+def _unpack(data: bytes, nbits: int) -> BitVector:
+    """The ``nbits``-bit payload packed in ``data``, which must be exactly
+    its bytes with zero padding."""
+    if len(data) < (nbits + 7) // 8:
+        raise TruncatedPayloadError(f"payload of {len(data)} bytes is too short for {nbits} bits")
+    try:
+        return BitVector.from_bytes(data, nbits)
+    except ValueError as exc:  # too long, or padding bits set
+        raise PayloadLengthError(f"payload of {len(data)} bytes for {nbits} bits: {exc}") from exc
 
 
 def header_bytes(params: SchemeParams) -> bytes:
@@ -127,7 +120,7 @@ def serialize_public(pk: PublicKey) -> bytes:
 def deserialize_public(data: bytes) -> PublicKey:
     params, payload = parse_header(data)
     k0, n0, r = params.k0, params.n0, params.r
-    rows = _unpack_rows(payload, r, 2 * k0 * n0)
+    rows = _unpack(payload, 2 * k0 * n0 * r).chunks(r)
     half = k0 * n0
     sg1 = _grid_from_rows(rows[:half], r, k0, n0)
     sg2 = _grid_from_rows(rows[half:], r, k0, n0)
@@ -149,7 +142,7 @@ def serialize_secret(sk: SecretKey) -> bytes:
 def deserialize_secret(data: bytes) -> SecretKey:
     params, payload = parse_header(data)
     n0, k0, r = params.n0, params.k0, params.r
-    rows = _unpack_rows(payload, r, 2 * n0 + k0 * k0)
+    rows = _unpack(payload, (2 * n0 + k0 * k0) * r).chunks(r)
     h1_rows, h2_rows, s_rows = rows[:n0], rows[n0 : 2 * n0], rows[2 * n0 :]
     for got, want, which in (
         (sum(v.weight for v in h1_rows), params.w1, "mdpc"),
@@ -173,12 +166,8 @@ def serialize_ciphertext(ct: Ciphertext) -> bytes:
 
 def deserialize_ciphertext(data: bytes) -> Ciphertext:
     params, payload = parse_header(data)
-    halves = _unpack_rows(payload, params.n, 2)
-    return Ciphertext(params, halves[0], halves[1])
-
-
-def plaintext_bytes(params: SchemeParams) -> int:
-    return (params.plaintext_bits + 7) // 8
+    c1, c2 = _unpack(payload, 2 * params.n).chunks(params.n)
+    return Ciphertext(params, c1, c2)
 
 
 def pack_plaintext(message: BitVector) -> bytes:
@@ -186,12 +175,4 @@ def pack_plaintext(message: BitVector) -> bytes:
 
 
 def unpack_plaintext(data: bytes, params: SchemeParams) -> BitVector:
-    expected = plaintext_bytes(params)
-    if len(data) < expected:
-        raise TruncatedPayloadError(f"plaintext file holds {len(data)} bytes, need {expected}")
-    if len(data) > expected:
-        raise PayloadLengthError(f"plaintext file holds {len(data)} bytes, need {expected}")
-    try:
-        return BitVector.from_bytes(data, params.plaintext_bits)
-    except ValueError as exc:
-        raise PayloadLengthError(str(exc)) from exc
+    return _unpack(data, params.plaintext_bits)

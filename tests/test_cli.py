@@ -285,6 +285,17 @@ def test_dfr_select_requires_budget(capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--budget", "100", "--trials", "2"], "--budget"),
+    (["--target", "0.5", "--budget", "20", "--t", "3"], "--t does not apply"),
+])
+def test_dfr_rejects_flags_of_the_other_mode(capsys, flags, named):
+    # each flag used to be ignored silently, with exit 0
+    code, out, err = _run(capsys, ["dfr", "--preset", "toy", *flags, "--seed", SEED_A])
+    assert code == 2
+    assert out == "" and named in err
+
+
 def test_estimate_reports_both_attacks(capsys):
     code, out, _ = _run(capsys, ["estimate", "--preset", "cca128"])
     assert code == 0

@@ -54,16 +54,26 @@ def test_dfr_sweep(monkeypatch, capsys):
 
 
 def test_dfr_sweep_rejects_nonpositive_workers(monkeypatch, capsys):
+    # and every other bad input: each exits 2 with a usage error before any
+    # line is printed, where most used to end in a traceback
     module = _load_script("dfr_sweep")
-    for workers in ("0", "-5"):
-        monkeypatch.setattr(sys, "argv", ["dfr_sweep.py", "--r", "13", "--w", "5",
-                                          "--flavor", "mdpc", "--t-max", "1",
-                                          "--workers", workers])
+    for flags, named in (
+        (["--workers", "0"], "--workers"),
+        (["--workers", "-5"], "--workers"),
+        (["--t-step", "0"], "--t-step"),
+        (["--trials", "0"], "trials"),
+        (["--t-max", "27"], "--t-max"),  # n = 26
+        (["--r", "12"], "odd"),
+        (["--max-iters", "0"], "max_iters"),
+        (["--seed", "zz"], "hexadecimal"),
+    ):
+        argv = ["--r", "13", "--w", "5", "--flavor", "mdpc", "--t-max", "1", *flags]
+        monkeypatch.setattr(sys, "argv", ["dfr_sweep.py", *argv])
         with pytest.raises(SystemExit) as info:
             module.main()
-        assert info.value.code == 2
+        assert info.value.code == 2, flags
         captured = capsys.readouterr()
-        assert captured.out == "" and "--workers" in captured.err
+        assert captured.out == "" and named in captured.err, flags
 
 
 def test_workfactor_table(monkeypatch, capsys):

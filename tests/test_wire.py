@@ -19,7 +19,6 @@ from plotkin_pke.wire import (
     deserialize_secret,
     pack_plaintext,
     parse_header,
-    plaintext_bytes,
     serialize_ciphertext,
     serialize_public,
     serialize_secret,
@@ -163,7 +162,7 @@ def test_secret_weight_mismatch(material):
 
 
 def test_plaintext_length_checks():
-    n = plaintext_bytes(DESK)
+    n = (DESK.plaintext_bits + 7) // 8
     with pytest.raises(TruncatedPayloadError):
         unpack_plaintext(b"\x00" * (n - 1), DESK)
     with pytest.raises(PayloadLengthError):
@@ -172,7 +171,7 @@ def test_plaintext_length_checks():
 
 def test_plaintext_padding_check():
     # 26 bits -> 4 bytes; the top 6 bits of byte 3 must be zero
-    data = bytearray(plaintext_bytes(DESK))
+    data = bytearray((DESK.plaintext_bits + 7) // 8)
     data[3] = 0xFF
     with pytest.raises(WireFormatError):
         unpack_plaintext(bytes(data), DESK)
