@@ -37,6 +37,8 @@ def main() -> int:
         parser.error("--workers must be positive")
     if args.t_step < 1:
         parser.error("--t-step must be positive")
+    if args.t_min > args.t_max:
+        parser.error("--t-min exceeds --t-max: the sweep is empty")
 
     try:
         params = QcParams(n0=args.n0, r=args.r, w=args.w, flavor=args.flavor)

@@ -20,23 +20,24 @@ Failure is reported in-band through ``DecodeOutcome.success``; decoding is
 fully deterministic given (H, y, config).
 
 All decoder state is packed ints, and an iteration calls no numpy: e is an
-n-bit int, s an r-bit int, and the upc counts and backflip's ttl are bit
-planes, where bit j of plane k is bit k of the value at position j.  The
-counts are summed bit-sliced over rotations of s (Drucker-Gueron, "A
-toolbox for software optimization of QC-MDPC code-based cryptosystems",
-J. Cryptogr. Eng. 2019) by a carry-save tree: each full adder takes three
-words and returns a sum and a carry, a fixed five word operations.  It is
-carry-save rather than a ripple counter because at large r some bit
-carries on every add, so a ripple counter walks every plane each time: at
-r = 11779 and block weight 71, on a 2-vCPU x86 machine, it took 363 us per
-count against 207 us for the tree.  Thresholds become a bit-sliced ``count >= bound`` comparator,
+n-bit int, s an r-bit int, the upc counts are bit planes (bit j of plane k
+is bit k of the count at position j), and backflip's ttl is an expiry
+schedule, one int per coming pass holding the flips due then.  The counts
+are summed bit-sliced over rotations of s (Drucker-Gueron, "A toolbox for
+software optimization of QC-MDPC code-based cryptosystems", J. Cryptogr.
+Eng. 2019) by a carry-save tree: each full adder takes three words and
+returns a sum and a carry, a fixed five word operations.  It is carry-save
+rather than a ripple counter because at large r some bit carries on every
+add, so a ripple counter walks every plane each time: at r = 11779 and
+block weight 71, on a 2-vCPU x86 machine, it took 363 us per count against
+207 us for the tree.  Thresholds become a bit-sliced ``count >= bound`` comparator,
 the maximum count a scan from the top plane down, and the flip set an int.
 
 ``decode_many`` decodes several words against one H in a single pass, one
-word per lane: word l's e, flips, upc planes and ttl take bits l n to
-l n + n - 1 of the same ints, and its syndrome bit l n up.  As n >= 2r, a
-lane's doubled syndrome s | s << r stays inside the lane, so the
-rotations, the carry-save tree, the comparators and the ttl logic run on
+word per lane: word l's e, flips, upc planes and expiry slots take bits
+l n to l n + n - 1 of the same ints, and its syndrome bit l n up.  As
+n >= 2r, a lane's doubled syndrome s | s << r stays inside the lane, so
+the rotations, the carry-save tree, the comparators and the ttl logic run on
 all lanes at once, unchanged.  At r = 101 an iteration is mostly
 interpreter overhead on ints of a few hundred bits, so a second lane
 costs little.  Only three things are per lane: the r-bit block masks of
@@ -215,21 +216,14 @@ def _ttl_bounds(thresholds: tuple[int, ...], weights: tuple[int, ...], r: int,
                  for v in range(1, levels + 1))
 
 
-def _fresh_ttl(upc: list[int], bounds: tuple[tuple[int, ...], ...], fresh: int) -> list[int]:
-    """ttl bit planes of the fresh flips, from their upc planes and the
-    ``_ttl_bounds`` of every level: one comparator per level reached, then
-    the thermometer code ge[v] (ttl >= v) read out in binary."""
-    ge = [0, fresh]
-    while len(ge) <= TTL_SATURATION and ge[-1]:
-        ge.append(_at_least(upc, bounds[len(ge) - 1], ge[-1]))
-    ge += [0] * (2 * TTL_SATURATION + 1 - len(ge))
-    planes = []
-    for k in range(TTL_SATURATION.bit_length()):
-        plane = 0
-        for v in range(1 << k, TTL_SATURATION + 1, 2 << k):  # bit k of v is set
-            plane |= ge[v] ^ ge[v + (1 << k)]
-        planes.append(plane)
-    return planes
+def _ttl_levels(upc: list[int], bounds: tuple[tuple[int, ...], ...], fresh: int) -> list[int]:
+    """The fresh flips grouped by ttl, entry v - 1 holding those of ttl v: one
+    comparator per level reached gives ge[v - 1], the flips of ttl >= v, from
+    the ``_ttl_bounds`` of level v, and a level is ge[v - 1] less ge[v]."""
+    ge = [fresh]
+    while len(ge) < TTL_SATURATION and ge[-1]:
+        ge.append(_at_least(upc, bounds[len(ge)], ge[-1]))
+    return [level ^ above for level, above in zip(ge, ge[1:] + [0])]
 
 
 def upc_profile(h: QcParityCheck, word: BitVector) -> np.ndarray:
@@ -257,10 +251,11 @@ def decode_many(h: QcParityCheck, words: Sequence[BitVector],
     Word l takes lane l, bits l n to l n + n - 1 of every packed int (see the
     module docstring): the error estimate e, the syndrome s of word + e,
     which every flip moves by the flipped bits' own syndrome, the upc
-    counts and backflip's ttl as bit planes.  One stop test, at the top of
-    every iteration, ends a lane whose syndrome is zero or that stalls; a
-    lane still running after ``max_iters`` iterations fails.  Outcome l,
-    built from e after the pass, is what a pass over word l alone gives.
+    counts as bit planes, and backflip's expiry schedule.  One stop test,
+    at the top of every iteration, ends a lane whose syndrome is zero or
+    that stalls; a lane still running after ``max_iters`` iterations
+    fails.  Outcome l, built from e after the pass, is what a pass over
+    word l alone gives.
     """
     r, n = h.params.r, h.params.n
     full = (1 << n) - 1
@@ -285,7 +280,11 @@ def decode_many(h: QcParityCheck, words: Sequence[BitVector],
     if cfg.threshold == "majority":  # ceil((colWeight + 1) / 2), the same every iteration
         bounds = _ttl_bounds(tuple((w + 2) // 2 for w in weights) * lanes, weights * lanes,
                              r, levels)
-    ttl = [0] * TTL_SATURATION.bit_length()  # bit planes; 0 = not pending
+    # expiry[i % TTL_SATURATION] holds the pending flips due at pass i.  A
+    # pass empties its own slot before it fills any, so a ttl of
+    # TTL_SATURATION falls due that many passes on.  The slots hold pending
+    # bits only, so a pass with nothing pending has nothing to take.
+    expiry = [0] * TTL_SATURATION
     pending = 0
     active = within  # nothing stalls before the first pass
     for done in range(cfg.max_iters + 1):
@@ -297,14 +296,10 @@ def decode_many(h: QcParityCheck, words: Sequence[BitVector],
         if not within or done == cfg.max_iters:
             break
         upc = _upc_planes(s, supports, r, blocks)
-        if backflip and (pending := _any(ttl)):
-            borrow = pending  # ttl -= 1 on the pending bits
-            for k, plane in enumerate(ttl):
-                ttl[k] = plane ^ borrow
-                borrow &= ttl[k]
-            # expired, and its support still unsatisfied
-            expired = pending ^ (pending & _any(ttl))
-            undo = expired & _any(upc)
+        if pending:
+            slot = done % TTL_SATURATION
+            expired, expiry[slot] = expiry[slot], 0
+            undo = expired & _any(upc)  # expired, and its support still unsatisfied
             if undo:
                 e ^= undo  # a lane whose s it clears counts 0, so takes no flips below
                 s ^= _block_dot(undo, h_t_rows, r, blocks)
@@ -320,9 +315,11 @@ def decode_many(h: QcParityCheck, words: Sequence[BitVector],
 
         if flips:
             if backflip:
-                fresh = flips ^ (flips & pending)  # the rest: undo a pending flip early
-                fresh_ttl = _fresh_ttl(upc, bounds, fresh)
-                ttl = [(plane ^ (plane & flips)) | f for plane, f in zip(ttl, fresh_ttl)]
+                again = flips & pending  # undoes a pending flip early: it leaves its slot
+                expiry = [due ^ (due & again) for due in expiry]
+                for expires, level in enumerate(_ttl_levels(upc, bounds, flips ^ again), done + 1):
+                    expiry[expires % TTL_SATURATION] |= level
+                pending ^= flips
             e ^= flips  # all selected bits at once
             s ^= _block_dot(flips, h_t_rows, r, blocks)
         active = flips | pending

@@ -167,8 +167,9 @@ def _cmd_dfr(args) -> int:
     if args.target is not None:
         if args.budget is None:
             raise ValueError("--target requires --budget")
-        if args.t is not None:
-            raise ValueError("--t does not apply with --target, which selects t")
+        for name in ("t", "trials", "workers"):  # each has an estimate-mode default
+            if getattr(args, name) is not None:
+                raise ValueError(f"--{name} does not apply with --target, which selects t")
         t = select_t_for_dfr(qc_params, args.target, args.budget, cfg, rng)
         _print({
             "coordinate": args.coordinate,
@@ -180,7 +181,8 @@ def _cmd_dfr(args) -> int:
     if args.budget is not None:
         raise ValueError("--budget requires --target")
     t = args.t if args.t is not None else default_t
-    report = estimate_dfr(qc_params, t, cfg, args.trials, rng, workers=args.workers)
+    report = estimate_dfr(qc_params, t, cfg, 1000 if args.trials is None else args.trials,
+                          rng, workers=1 if args.workers is None else args.workers)
     _print(report.to_dict())
     return EXIT_OK
 
@@ -274,8 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_params_options(p)
     p.add_argument("--coordinate", type=int, choices=(1, 2), default=1)
     p.add_argument("--t", type=int, default=None, help="error weight to estimate at")
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--trials", type=int, default=None, help="default 1000 (estimate mode)")
+    p.add_argument("--workers", type=int, default=None, help="default 1 (estimate mode)")
     p.add_argument("--target", type=float, default=None,
                    help="select the largest t meeting this DFR instead")
     p.add_argument("--budget", type=int, default=None,

@@ -270,11 +270,12 @@ def test_fresh_ttl_matches_formula(make_rng):
                     if c >= thresholds[j // r] and rng.randbelow(4))
         upc = [sum((c >> k & 1) << j for j, c in enumerate(counts)) for k in range(8)]
         bounds = bitflip._ttl_bounds(thresholds, weights, r, sat)
-        planes = bitflip._fresh_ttl(upc, bounds, fresh)
-        got = [sum((p >> j & 1) << k for k, p in enumerate(planes)) for j in range(len(counts))]
+        levels = bitflip._ttl_levels(upc, bounds, fresh)
         want = [min(sat, 1 + (c - thresholds[j // r]) * sat // weights[j // r])
                 if fresh >> j & 1 else 0 for j, c in enumerate(counts)]
-        assert got == want
+        for j, ttl in enumerate(want):  # a fresh bit sits in the level of its ttl only
+            got = [v for v, level in enumerate(levels, 1) if level >> j & 1]
+            assert got == ([ttl] if ttl else []), j
         seen.update(want)
     assert seen == set(range(sat + 1))
 
@@ -316,6 +317,25 @@ def test_decode_max_upc_rule(make_rng):
 
 
 # --- decode_many --------------------------------------------------------------
+
+
+def _fresh_ttl(upc, bounds, fresh):
+    """ttl bit planes of the fresh flips, from their upc planes and the
+    ``_ttl_bounds`` of every level: one comparator per level reached, then
+    the thermometer code ge[v] (ttl >= v) read out in binary.  The oracle's
+    own, so a fault in ``bitflip._ttl_levels`` shows as a mismatch."""
+    sat = bitflip.TTL_SATURATION
+    ge = [0, fresh]
+    while len(ge) <= sat and ge[-1]:
+        ge.append(bitflip._at_least(upc, bounds[len(ge) - 1], ge[-1]))
+    ge += [0] * (2 * sat + 1 - len(ge))
+    planes = []
+    for k in range(sat.bit_length()):
+        plane = 0
+        for v in range(1 << k, sat + 1, 2 << k):  # bit k of v is set
+            plane |= ge[v] ^ ge[v + (1 << k)]
+        planes.append(plane)
+    return planes
 
 
 def reference_decode(h, word, cfg):
@@ -372,7 +392,7 @@ def reference_decode(h, word, cfg):
         if flips:
             if cfg.variant == "backflip":
                 fresh = flips ^ (flips & pending)
-                fresh_ttl = bitflip._fresh_ttl(upc, bounds, fresh)
+                fresh_ttl = _fresh_ttl(upc, bounds, fresh)
                 ttl = [(plane ^ (plane & flips)) | f for plane, f in zip(ttl, fresh_ttl)]
             if toggle(flips):
                 return success(iteration, "flip")
@@ -435,6 +455,26 @@ def test_decode_many_every_ending_in_one_pass(cfg, endings):
     words, want = zip(*(first[ending] for ending in endings))
     assert decode_many(h, words, cfg) == want
     assert decode_many(h, words[::-1], cfg) == want[::-1]
+
+
+def test_decode_many_undoes_saturated_ttl():
+    # Hand-built r = 523 checks of block weights 34 and 4 under backflip
+    # max-upc-delta, delta = 30, one seeded weight-4 word each.  Pass 0 has
+    # threshold 34 - 30 and flips an error bit whose 34 checks are all
+    # unsatisfied, with ttl min(8, 1 + 30 * 8 // 34) = TTL_SATURATION.  The
+    # other flips leave the decoder cycling while that flip waits; at pass 8
+    # it expires with a check still unsatisfied and is undone, and the word
+    # then decodes at iteration 11.  With seven slots, which expire it at
+    # pass 1, none of the three words decodes
+    cfg = backflip_config(threshold="max-upc-delta", delta=30)
+    for i in (19, 32, 38):
+        rng = substream(b"\x8b" * 32, i)
+        blocks = tuple(CirculantBlock(523, sample_fixed_weight(rng, 523, w)) for w in (34, 4))
+        h = QcParityCheck(TOY_MDPC, blocks)
+        y = sample_fixed_weight(rng, TOY_MDPC.n, 4)
+        want, _ = reference_decode(h, y, cfg)
+        assert want.success and want.iterations == 11 and want.error_vector == y, i
+        assert decode_many(h, (y, y), cfg) == (want, want), i
 
 
 def test_config_validation():

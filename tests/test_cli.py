@@ -256,6 +256,20 @@ def test_dfr_estimate_mode(capsys):
     assert record["seed"] == SEED_A
 
 
+def test_dfr_estimate_mode_defaults(capsys, monkeypatch):
+    # --trials and --workers stay None unless given, so that selection mode
+    # can refuse them; estimate mode reads them as 1000 trials on one worker
+    calls, real = [], cli.estimate_dfr
+
+    def recording(params, t, cfg, trials, rng, workers):
+        calls.append((trials, workers))
+        return real(params, t, cfg, 5, rng, workers=workers)
+
+    monkeypatch.setattr(cli, "estimate_dfr", recording)
+    code, _, _ = _run(capsys, ["dfr", "--preset", "toy", "--coordinate", "2", "--seed", SEED_A])
+    assert code == 0 and calls == [(1000, 1)]
+
+
 @pytest.mark.parametrize("workers", ["0", "-5"])
 def test_dfr_rejects_nonpositive_workers(capsys, workers):
     # a count below one used to run serially and exit 0
@@ -288,9 +302,13 @@ def test_dfr_select_requires_budget(capsys):
 @pytest.mark.parametrize("flags, named", [
     (["--budget", "100", "--trials", "2"], "--budget"),
     (["--target", "0.5", "--budget", "20", "--t", "3"], "--t does not apply"),
+    (["--target", "0.5", "--budget", "20", "--trials", "5"], "--trials does not apply"),
+    (["--target", "0.5", "--budget", "20", "--workers", "3"], "--workers does not apply"),
+    (["--target", "0.5", "--budget", "20", "--trials", "1000"], "--trials does not apply"),
 ])
 def test_dfr_rejects_flags_of_the_other_mode(capsys, flags, named):
-    # each flag used to be ignored silently, with exit 0
+    # each flag used to be ignored silently, with exit 0; --trials 1000 is
+    # the estimate default, and is still refused when given
     code, out, err = _run(capsys, ["dfr", "--preset", "toy", *flags, "--seed", SEED_A])
     assert code == 2
     assert out == "" and named in err

@@ -61,6 +61,7 @@ def test_dfr_sweep_rejects_nonpositive_workers(monkeypatch, capsys):
         (["--workers", "0"], "--workers"),
         (["--workers", "-5"], "--workers"),
         (["--t-step", "0"], "--t-step"),
+        (["--t-min", "5", "--t-max", "2"], "--t-min"),
         (["--trials", "0"], "trials"),
         (["--t-max", "27"], "--t-max"),  # n = 26
         (["--r", "12"], "odd"),
