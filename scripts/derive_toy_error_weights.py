@@ -12,7 +12,7 @@ import json
 
 from plotkin_pke.bitflip import select_t_for_dfr
 from plotkin_pke.presets import TOY_SELECTION_SEED, preset
-from plotkin_pke.rng import substream
+from plotkin_pke.rng import SEED_BYTES, substream
 from plotkin_pke.scheme import ldpc_decoder_config, mdpc_decoder_config
 
 
@@ -22,8 +22,17 @@ def main() -> None:
     parser.add_argument("--budget", type=int, default=2000)
     parser.add_argument("--seed", default=TOY_SELECTION_SEED, help="64 hex chars")
     args = parser.parse_args()
+    try:
+        seed = bytes.fromhex(args.seed)
+    except ValueError:
+        seed = b""
+    if len(seed) != SEED_BYTES:
+        parser.error("--seed must be 64 hex chars")
+    if not 0 < args.target <= 1:
+        parser.error("--target must lie in (0, 1]")
+    if args.budget < 10 / args.target:
+        parser.error("--budget must be at least 10 / --target")
 
-    seed = bytes.fromhex(args.seed)
     toy = preset("toy")
     coordinates = [
         ("t1", toy.mdpc_params(), mdpc_decoder_config(toy), 0),

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from . import dense
 from .gf2 import BitVector, BlockMatrix, CirculantBlock, _xgcd
 from .qc import QcParams, QcParityCheck
-from .bitflip import decode_many
+from .bitflip import _camel_dict, decode_many
 from .rng import RandomStream
 from .scheme import Ciphertext, PublicKey, ldpc_decoder_config
 from .stern import SternResult, stern_search
@@ -62,22 +62,7 @@ class AttackReport:
     attack_succeeded: bool
 
     def to_dict(self) -> dict:
-        return {
-            "n0": self.n0,
-            "r": self.r,
-            "w2": self.w2,
-            "rowFound": self.row_found,
-            "recoveredRowWeight": self.recovered_row_weight,
-            "orthogonal": self.orthogonal,
-            "rotationsComplete": self.rotations_complete,
-            "sternIterations": self.stern_iterations,
-            "directDecodeSuccess": self.direct_decode_success,
-            "directDecodeIterations": self.direct_decode_iterations,
-            "combinedDecodeSuccess": self.combined_decode_success,
-            "combinedDecodeIterations": self.combined_decode_iterations,
-            "residualWeight": self.residual_weight,
-            "attackSucceeded": self.attack_succeeded,
-        }
+        return _camel_dict(self)
 
 
 def systematic_public_generator(pk: PublicKey):

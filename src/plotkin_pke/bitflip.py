@@ -63,7 +63,7 @@ from __future__ import annotations
 import json
 import os
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache, partial
 from itertools import zip_longest
@@ -422,6 +422,18 @@ def clopper_pearson(failures: int, trials: int) -> tuple[float, float]:
     return lo, hi
 
 
+def _camel_dict(report) -> dict:
+    """A report's JSON record: its fields in order, keyed in camelCase, with
+    a nested dataclass (the code's ``QcParams``) as such a record too."""
+    out = {}
+    for f in fields(report):
+        head, *rest = f.name.split("_")
+        value = getattr(report, f.name)
+        out[head + "".join(map(str.capitalize, rest))] = (
+            _camel_dict(value) if is_dataclass(value) else value)
+    return out
+
+
 @dataclass(frozen=True)
 class DfrReport:
     params: QcParams
@@ -435,22 +447,7 @@ class DfrReport:
     seed: str
 
     def to_dict(self) -> dict:
-        return {
-            "params": {
-                "n0": self.params.n0,
-                "r": self.params.r,
-                "w": self.params.w,
-                "flavor": self.params.flavor,
-            },
-            "t": self.t,
-            "variant": self.variant,
-            "trials": self.trials,
-            "failures": self.failures,
-            "dfr": self.dfr,
-            "ciLow": self.ci_low,
-            "ciHigh": self.ci_high,
-            "seed": self.seed,
-        }
+        return _camel_dict(self)
 
     def to_json(self) -> str:
         """Single-line JSON record."""

@@ -1,11 +1,13 @@
-"""Dense GF(2) linear algebra on numpy arrays.
+"""Dense GF(2) matrices as explicit 0/1 ``uint8`` numpy arrays.
 
-A deliberately independent second route to the same objects as ``gf2``:
-matrices are explicit 0/1 ``uint8`` arrays and products are integer matrix
-multiplications reduced mod 2, with no shared code with the packed
-polynomial representation.  Tests cross-check every circulant operation
-against this module, and the concrete attack code works on these arrays
-directly at desk scale.
+What the attack lab runs at desk scale: ``expand_block_matrix`` (with
+``to_array``, ``circulant`` and ``expand_block`` under it) turns the
+systematic public generator into the array that ``attack`` hands to Stern,
+and ``pivot`` is the Gauss-Jordan step of ``stern``'s information-set
+reductions.  ``rref`` and ``systematic_form`` have no program caller but
+the perfbench probe ``dense.systematic_form_ms``; they stay until the
+benchmark drops that probe.  The dense oracle that tests check ``gf2``
+against (products, rank, inverse) lives in ``tests/oracle.py``.
 """
 
 from __future__ import annotations
@@ -21,14 +23,6 @@ def to_array(v: BitVector) -> np.ndarray:
         return np.zeros(0, dtype=np.uint8)
     raw = np.frombuffer(v.to_bytes(), dtype=np.uint8)
     return np.unpackbits(raw, bitorder="little")[: v.length].copy()
-
-
-def from_array(arr: np.ndarray) -> BitVector:
-    arr = np.asarray(arr, dtype=np.uint8) & 1
-    if arr.size == 0:
-        return BitVector(0, 0)
-    packed = np.packbits(arr, bitorder="little").tobytes()
-    return BitVector.from_bytes(packed, arr.size)
 
 
 def circulant(row0: np.ndarray) -> np.ndarray:
@@ -49,16 +43,6 @@ def expand_block_matrix(bm: BlockMatrix) -> np.ndarray:
         np.concatenate([expand_block(b) for b in row], axis=1) for row in bm.blocks
     ]
     return np.concatenate(rows, axis=0)
-
-
-def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    prod = a.astype(np.int64) @ b.astype(np.int64)
-    return (prod & 1).astype(np.uint8)
-
-
-def vec_mat_mul(v: np.ndarray, m: np.ndarray) -> np.ndarray:
-    prod = v.astype(np.int64) @ m.astype(np.int64)
-    return (prod & 1).astype(np.uint8)
 
 
 def pivot(m: np.ndarray, row: int, col: int) -> bool:
@@ -90,23 +74,6 @@ def rref(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
         if pivot(m, len(pivots), col):
             pivots.append(col)
     return m, pivots
-
-
-def rank(a: np.ndarray) -> int:
-    return len(rref(a)[1])
-
-
-def inverse(a: np.ndarray) -> np.ndarray:
-    """Gauss-Jordan inverse of a square GF(2) matrix; ValueError if singular."""
-    a = np.asarray(a, dtype=np.uint8) & 1
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("matrix must be square")
-    aug = np.concatenate([a.copy(), np.eye(n, dtype=np.uint8)], axis=1)
-    red, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular over GF(2)")
-    return red[:, n:]
 
 
 def systematic_form(gen: np.ndarray) -> np.ndarray:

@@ -30,7 +30,9 @@ weight of the lighter operand: up to ``_SPARSE_MAX_WEIGHT`` (the rows of H)
 one shift-xor per set bit, above it (S, S^-1, the public generator, the
 plaintext) a comb over 32-bit chunks, eight 4-bit windows each, with one
 shift-xor into the accumulator per nonzero chunk.  ``_mul`` does not
-reduce: ``_mul_mod`` folds one product, ``_block_dot`` the sum of several.
+reduce: ``_block_dot`` is the one reducer, folding a column's summed
+products once.  A block product is ``_block_dot`` over a column of one,
+and block row i of ``A @ B`` is ``B.vec_mul`` of A's row i.
 """
 
 from __future__ import annotations
@@ -173,13 +175,6 @@ def _mul(a: int, b: int) -> int:
     return acc
 
 
-def _mul_mod(a: int, b: int, r: int) -> int:
-    """a(x) * b(x) mod (x^r - 1) for a, b of degree below r: the product has
-    degree below 2r - 1, so one fold of the top r bits onto the bottom."""
-    acc = _mul(a, b)
-    return (acc & ((1 << r) - 1)) ^ (acc >> r)
-
-
 def _block_dot(y: int, rows: list[int], r: int, blocks: int | None = None) -> int:
     """sum_i y_i(x) * rows[i](x) mod (x^r - 1) over the r-bit blocks y_i of
     the packed word y: a row vector times one column of circulants.
@@ -281,7 +276,7 @@ class CirculantBlock:
         if self.r != other.r:
             raise ValueError("block size mismatch")
         return CirculantBlock(
-            self.r, BitVector(self.r, _mul_mod(self.row0.value, other.row0.value, self.r))
+            self.r, BitVector(self.r, _block_dot(self.row0.value, [other.row0.value], self.r))
         )
 
     def transpose(self) -> "CirculantBlock":
@@ -342,17 +337,15 @@ class BlockMatrix:
         )
 
     def __matmul__(self, other: "BlockMatrix") -> "BlockMatrix":
+        """Block row i of the product is ``other.vec_mul`` of block row i,
+        its first rows packed into one vector."""
         if self.block_cols != other.block_rows or self.r != other.r:
             raise ValueError("block shape mismatch")
+        r = self.r
         rows = []
-        for i in range(self.block_rows):
-            row = []
-            for j in range(other.block_cols):
-                acc = CirculantBlock.zero(self.r)
-                for t in range(self.block_cols):
-                    acc = acc + self.blocks[i][t] * other.blocks[t][j]
-                row.append(acc)
-            rows.append(tuple(row))
+        for row in self.blocks:
+            v = BitVector(self.block_cols * r, sum(b.row0.value << t * r for t, b in enumerate(row)))
+            rows.append(tuple(CirculantBlock(r, part) for part in other.vec_mul(v).chunks(r)))
         return BlockMatrix(tuple(rows))
 
     def vec_mul(self, v: BitVector) -> BitVector:
@@ -415,9 +408,9 @@ def sample_fixed_weight(rng: RandomStream, n: int, t: int) -> BitVector:
 
     Reads (n - 1).bit_length()-bit candidates through ``rng.draws``, about
     2t + 8 to a block, rejecting those of n or more and skipping repeats
-    until t distinct positions are chosen: the same vector and final stream
-    position as one ``rng.randbelow(n)`` call per candidate.  With t = 0 no
-    bits are consumed.
+    until t distinct positions are chosen.  The stream stops right after
+    the candidate that completes the vector.  With t = 0 no bits are
+    consumed.
     """
     if n < 1:
         raise ValueError("n must be positive")

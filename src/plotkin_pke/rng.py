@@ -81,22 +81,13 @@ class RandomStream:
                 yield chunk & mask
                 chunk >>= nbits
 
-    def randbelow(self, bound: int) -> int:
-        """Uniform draw from [0, bound) by rejection on bit_length-sized candidates."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
-        nbits = (bound - 1).bit_length()
-        while True:
-            candidate = self.take_bits(nbits)
-            if candidate < bound:
-                return candidate
-
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle driven by this stream.
 
-        Swaps items[i] with items[randbelow(i + 1)] for i from the top down,
-        drawing the candidates through ``draws``: one iterator per candidate
-        width, as i.bit_length() falls.
+        For i from the top down, swaps items[i] with items[j], where j is
+        the first i.bit_length()-bit candidate of at most i: larger ones are
+        rejected.  The candidates come through ``draws``, one iterator per
+        candidate width, as i.bit_length() falls.
         """
         nbits = 0
         for i in range(len(items) - 1, 0, -1):

@@ -1,0 +1,82 @@
+"""Independent references that only tests call.
+
+A deliberately separate second route to the same objects as the package:
+dense matrices are explicit 0/1 ``uint8`` arrays whose products are integer
+matrix multiplications reduced mod 2, with no code shared with the packed
+polynomial representation of ``gf2``; uniform draws take one candidate per
+``take_bits`` call; and the SHAKE-256 stream is read straight from
+``hashlib``, with no buffer shared with ``RandomStream``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import numpy as np
+
+from plotkin_pke.dense import rref
+from plotkin_pke.gf2 import BitVector
+from plotkin_pke.rng import RandomStream
+
+# --- dense GF(2) matrices -----------------------------------------------------
+
+
+def from_array(arr: np.ndarray) -> BitVector:
+    arr = np.asarray(arr, dtype=np.uint8) & 1
+    if arr.size == 0:
+        return BitVector(0, 0)
+    packed = np.packbits(arr, bitorder="little").tobytes()
+    return BitVector.from_bytes(packed, arr.size)
+
+
+def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    prod = a.astype(np.int64) @ b.astype(np.int64)
+    return (prod & 1).astype(np.uint8)
+
+
+def vec_mat_mul(v: np.ndarray, m: np.ndarray) -> np.ndarray:
+    prod = v.astype(np.int64) @ m.astype(np.int64)
+    return (prod & 1).astype(np.uint8)
+
+
+def rank(a: np.ndarray) -> int:
+    return len(rref(a)[1])
+
+
+def inverse(a: np.ndarray) -> np.ndarray:
+    """Gauss-Jordan inverse of a square GF(2) matrix; ValueError if singular."""
+    a = np.asarray(a, dtype=np.uint8) & 1
+    n = a.shape[0]
+    if a.shape != (n, n):
+        raise ValueError("matrix must be square")
+    aug = np.concatenate([a.copy(), np.eye(n, dtype=np.uint8)], axis=1)
+    red, pivots = rref(aug)
+    if pivots[:n] != list(range(n)):
+        raise ValueError("matrix is singular over GF(2)")
+    return red[:, n:]
+
+
+# --- random streams -----------------------------------------------------------
+
+
+def randbelow(rng: RandomStream, bound: int) -> int:
+    """Uniform draw from [0, bound) by rejection on bit_length-sized candidates."""
+    if bound <= 0:
+        raise ValueError("bound must be positive")
+    nbits = (bound - 1).bit_length()
+    while True:
+        candidate = rng.take_bits(nbits)
+        if candidate < bound:
+            return candidate
+
+
+def stream_bits(seed: bytes, start: int, nbits: int) -> int:
+    """Bits start..start + nbits - 1 of the stream of ``seed``, bit start at
+    weight 1: stream bit j is bit j % 8 of byte j // 8 of SHAKE-256(seed)."""
+    digest = hashlib.shake_256(seed).digest((start + nbits + 7) // 8)
+    return sum((digest[j // 8] >> j % 8 & 1) << (j - start) for j in range(start, start + nbits))
+
+
+def substream_seed(seed: bytes, index: int) -> bytes:
+    """SHAKE-256(seed || index as 8 bytes little-endian), 32 bytes."""
+    return hashlib.shake_256(seed + index.to_bytes(8, "little")).digest(32)

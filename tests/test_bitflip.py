@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.stats import beta
 
+import oracle
 from plotkin_pke import bitflip, dense
 from plotkin_pke.attack import recover_dual_structure
 from plotkin_pke.bitflip import (
@@ -49,7 +50,7 @@ def _instance(make_rng, tag, params):
 
 def _dense_upc(h, y):
     mat = dense.expand_block_matrix(BlockMatrix((h.blocks,)))  # one block row: r checks
-    s = dense.vec_mat_mul(dense.to_array(y), mat.T).astype(np.int64)
+    s = oracle.vec_mat_mul(dense.to_array(y), mat.T).astype(np.int64)
     return mat.T.astype(np.int64) @ s
 
 
@@ -265,9 +266,9 @@ def test_fresh_ttl_matches_formula(make_rng):
     r, weights, sat = 64, (255, 16, 3), bitflip.TTL_SATURATION
     seen = set()
     for thresholds in ((1, 1, 1), (128, 9, 2), (250, 16, 3)):
-        counts = [rng.randbelow(w + 1) for w in weights for _ in range(r)]
+        counts = [oracle.randbelow(rng, w + 1) for w in weights for _ in range(r)]
         fresh = sum(1 << j for j, c in enumerate(counts)
-                    if c >= thresholds[j // r] and rng.randbelow(4))
+                    if c >= thresholds[j // r] and oracle.randbelow(rng, 4))
         upc = [sum((c >> k & 1) << j for j, c in enumerate(counts)) for k in range(8)]
         bounds = bitflip._ttl_bounds(thresholds, weights, r, sat)
         levels = bitflip._ttl_levels(upc, bounds, fresh)

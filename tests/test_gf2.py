@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracle
 from plotkin_pke import dense, gf2
 from plotkin_pke.gf2 import (
     BitVector,
@@ -14,11 +15,10 @@ from plotkin_pke.gf2 import (
     NotInvertibleError,
     _SPARSE_MAX_WEIGHT,
     _block_dot,
-    _mul_mod,
     _transpose_row,
     sample_fixed_weight,
 )
-from plotkin_pke.rng import RandomStream, substream
+from plotkin_pke.rng import RandomStream, derive_substream_seed, substream
 
 ODD_R = [3, 5, 7, 9, 11, 13, 17, 19, 23, 29, 31]
 
@@ -95,7 +95,7 @@ def test_block_rows_are_shifts(rng):
         for i in range(r):
             assert mat[i].tolist() == np.roll(row0, i).tolist()
             shift = CirculantBlock(r, BitVector(r, 1 << i))  # x^i
-            assert (block * shift).row0 == dense.from_array(mat[i])
+            assert (block * shift).row0 == oracle.from_array(mat[i])
 
 
 @settings(max_examples=60, deadline=None)
@@ -103,7 +103,7 @@ def test_block_rows_are_shifts(rng):
 def test_block_mul_matches_dense(pair):
     a, b = pair
     got = dense.expand_block(a * b)
-    want = dense.mat_mul(dense.expand_block(a), dense.expand_block(b))
+    want = oracle.mat_mul(dense.expand_block(a), dense.expand_block(b))
     assert np.array_equal(got, want)
 
 
@@ -142,10 +142,10 @@ def test_block_mul_matches_dense_across_comb_cutoff(make_rng, weight):
     a = CirculantBlock(r, sample_fixed_weight(rng, r, weight))
     b = CirculantBlock(r, sample_fixed_weight(rng, r, max(weight, r // 2)))
     dense_b = dense.expand_block(b)
-    assert np.array_equal(dense.expand_block(a * b), dense.mat_mul(dense.expand_block(a), dense_b))
+    assert np.array_equal(dense.expand_block(a * b), oracle.mat_mul(dense.expand_block(a), dense_b))
     assert b * a == a * b
     c = random_block(rng, r)  # dense x dense
-    assert np.array_equal(dense.expand_block(b * c), dense.mat_mul(dense_b, dense.expand_block(c)))
+    assert np.array_equal(dense.expand_block(b * c), oracle.mat_mul(dense_b, dense.expand_block(c)))
 
 
 def test_dense_block_mul_matches_convolution_at_cca128_size(make_rng):
@@ -189,8 +189,8 @@ def test_comb_matches_setbit_reference(make_rng, monkeypatch, r):
         (ones, ones),
     ):
         want = setbit_mul(x, y, r)
-        assert _mul_mod(x, y, r) == want
-        assert _mul_mod(y, x, r) == want
+        assert _block_dot(x, [y], r) == want
+        assert _block_dot(y, [x], r) == want
 
 
 def test_dense_products_pinned_digest(make_rng):
@@ -202,7 +202,7 @@ def test_dense_products_pinned_digest(make_rng):
         for _ in range(3):
             a, b, c = (rng.take_bits(r) for _ in range(3))
             for x, y in ((a, b), (a | c, b), (a | b | c, c), ((1 << r) - 1, b)):
-                h.update(_mul_mod(x, y, r).to_bytes((r + 7) // 8, "little"))
+                h.update(_block_dot(x, [y], r).to_bytes((r + 7) // 8, "little"))
     assert h.hexdigest() == "09bd89176d7a499e2c7137cfb9e9cad0025e5eecda4098b58712f7a9daaf6a6e"
 
 
@@ -266,7 +266,7 @@ def test_block_inverse_round_trip(rng):
             continue
         found += 1
         assert block * inv == CirculantBlock.identity(r)
-        dense_inv = dense.inverse(dense.expand_block(block))
+        dense_inv = oracle.inverse(dense.expand_block(block))
         assert np.array_equal(dense.expand_block(inv), dense_inv)
     # composite r: x^r - 1 has odd-weight factors of low degree, so some
     # random odd-weight rows do not invert either
@@ -275,12 +275,12 @@ def test_block_inverse_round_trip(rng):
         for _ in range(40):
             block = random_block(rng, r)
             mat = dense.expand_block(block)
-            if dense.rank(mat) < r:
+            if oracle.rank(mat) < r:
                 with pytest.raises(NotInvertibleError):
                     block.inverse()
                 odd_singular += block.weight % 2
             else:
-                assert np.array_equal(dense.expand_block(block.inverse()), dense.inverse(mat))
+                assert np.array_equal(dense.expand_block(block.inverse()), oracle.inverse(mat))
         assert odd_singular > 0
 
 
@@ -304,7 +304,7 @@ def test_vec_mul_matches_dense(pair, raw):
     a, _ = pair
     v = BitVector(a.r, raw & ((1 << a.r) - 1))
     got = dense.to_array(BlockMatrix(((a,),)).vec_mul(v))
-    want = dense.vec_mat_mul(dense.to_array(v), dense.expand_block(a))
+    want = oracle.vec_mat_mul(dense.to_array(v), dense.expand_block(a))
     assert got.tolist() == want.tolist()
 
 
@@ -323,7 +323,7 @@ def test_blockmatrix_matmul_matches_dense(rng):
         a = random_grid(rng, 2, 3, r)
         b = random_grid(rng, 3, 2, r)
         got = dense.expand_block_matrix(a @ b)
-        want = dense.mat_mul(dense.expand_block_matrix(a), dense.expand_block_matrix(b))
+        want = oracle.mat_mul(dense.expand_block_matrix(a), dense.expand_block_matrix(b))
         assert np.array_equal(got, want)
 
 
@@ -332,7 +332,7 @@ def test_blockmatrix_vec_mul_matches_dense(rng):
     a = random_grid(rng, 2, 3, r)
     v = BitVector(2 * r, rng.take_bits(2 * r))
     got = dense.to_array(a.vec_mul(v))
-    want = dense.vec_mat_mul(dense.to_array(v), dense.expand_block_matrix(a))
+    want = oracle.vec_mat_mul(dense.to_array(v), dense.expand_block_matrix(a))
     assert got.tolist() == want.tolist()
 
 
@@ -350,7 +350,7 @@ def test_blockmatrix_inverse_round_trip(rng):
         assert m @ inv == eye
         assert inv @ m == eye
         assert np.array_equal(
-            dense.expand_block_matrix(inv), dense.inverse(dense.expand_block_matrix(m))
+            dense.expand_block_matrix(inv), oracle.inverse(dense.expand_block_matrix(m))
         )
     # an even-weight block [0][0] never inverts, so column 0 must swap rows
     eye = BlockMatrix.identity(3, r)
@@ -367,7 +367,7 @@ def test_blockmatrix_inverse_round_trip(rng):
         assert m @ inv == eye
         assert inv @ m == eye
         assert np.array_equal(
-            dense.expand_block_matrix(inv), dense.inverse(dense.expand_block_matrix(m))
+            dense.expand_block_matrix(inv), oracle.inverse(dense.expand_block_matrix(m))
         )
 
 
@@ -400,7 +400,7 @@ def test_sample_fixed_weight_deterministic():
     assert a == b
 
 
-# the per-candidate loops that the block reader replaced: ``randbelow`` once
+# the per-candidate loops that the block reader replaced: ``oracle.randbelow`` once
 # per candidate, with the same reject and skip rules
 
 
@@ -408,7 +408,7 @@ def reference_sample(rng: RandomStream, n: int, t: int) -> BitVector:
     value = 0
     remaining = t
     while remaining:
-        bit = 1 << rng.randbelow(n)
+        bit = 1 << oracle.randbelow(rng, n)
         if not value & bit:
             value |= bit
             remaining -= 1
@@ -417,7 +417,7 @@ def reference_sample(rng: RandomStream, n: int, t: int) -> BitVector:
 
 def reference_shuffle(rng: RandomStream, items: list) -> None:
     for i in range(len(items) - 1, 0, -1):
-        j = rng.randbelow(i + 1)
+        j = oracle.randbelow(rng, i + 1)
         items[i], items[j] = items[j], items[i]
 
 
@@ -462,6 +462,42 @@ def test_draws_match_take_bits(make_rng, nbits, block):
         values = fast.draws(nbits, block)
         assert [next(values) for _ in range(count)] == [slow.take_bits(nbits) for _ in range(count)]
         assert fast.take_bits(64) == slow.take_bits(64)
+
+
+# widths read in a row, so every read after the first starts unaligned.  The
+# first squeeze is 64 bytes (512 bits), and each regrowth squeezes twice the
+# bytes a read needs: the 7-bit read at bit 508 straddles the first squeeze,
+# and the 1000- and 2048-bit reads straddle the regrown ends at bits 1040
+# and 3168
+STREAM_WIDTHS = [5, 3, 500, 7, 64, 1000, 1, 13, 2048, 11]
+
+
+@pytest.mark.parametrize("tag", [0x00, 0x3C, 0xA5])
+def test_take_bits_matches_shake_reference(make_rng, tag):
+    rng, pos = make_rng(tag), 0
+    for nbits in STREAM_WIDTHS:
+        assert rng.take_bits(nbits) == oracle.stream_bits(rng.seed, pos, nbits), (pos, nbits)
+        pos += nbits
+
+
+@pytest.mark.parametrize("nbits, block", [(1, 7), (7, 32), (11, 3), (64, 5)])
+def test_draws_match_shake_reference(make_rng, nbits, block):
+    # from an unaligned start until well past the first squeeze and a regrowth
+    rng = make_rng(nbits)
+    rng.take_bits(3)
+    values = rng.draws(nbits, block)
+    count = 4200 // nbits
+    want = oracle.stream_bits(rng.seed, 3, nbits * count)
+    assert [next(values) for _ in range(count)] == [
+        want >> i * nbits & (1 << nbits) - 1 for i in range(count)]
+
+
+def test_substream_seed_matches_shake_reference():
+    for seed in (b"\x00" * 32, b"\x5a" * 32, bytes(range(32))):
+        for index in (0, 1, 255, 256, 2**40 + 3, 2**64 - 1):
+            want = oracle.substream_seed(seed, index)
+            assert derive_substream_seed(seed, index) == want
+            assert substream(seed, index).take_bits(256) == oracle.stream_bits(want, 0, 256)
 
 
 def test_draws_and_shuffles_pinned_digest():

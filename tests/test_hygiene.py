@@ -1,6 +1,7 @@
 """Source hygiene: no module imports a name it never uses, no private
-module-level name of the package goes unread, no public one is read by
-tests alone, and importing the CLI loads no scipy."""
+module-level name of the package goes unread, no public one, nor any public
+method or property of a package class, is read by tests alone, and
+importing the CLI loads no scipy."""
 
 import ast
 import subprocess
@@ -133,9 +134,41 @@ def test_dead_public_names_detected():
     assert dead_names(source, {"Kept"}, private=False) == [(2, "ONLY_TESTS"), (4, "helper")]
 
 
+def dead_methods(source: str, elsewhere: set[str]) -> list[tuple[int, str]]:
+    """(line, Class.name) for each public method or property of a
+    module-level class of ``source`` that no other statement of it reads and
+    that is not in ``elsewhere``.  Dataclass fields are not methods."""
+    body = ast.parse(source).body
+    found = []
+    for cls in body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        others = set().union(*(_reads(stmt) for stmt in body if stmt is not cls))
+        for fn in cls.body:
+            if (isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not fn.name.startswith("_") and fn.name not in elsewhere | others
+                    and not any(fn.name in _reads(stmt) for stmt in cls.body if stmt is not fn)):
+                found.append((fn.lineno, f"{cls.name}.{fn.name}"))
+    return found
+
+
+def test_dead_methods_detected():
+    source = (
+        "class Stream:\n"
+        "    size: int = 0\n"
+        "    def used(self):\n        return self.helper()\n"
+        "    def helper(self):\n        return 1\n"
+        "    def only_tests(self):\n        return self.only_tests()\n"
+        "    @property\n    def width(self):\n        return 8\n"
+        "    def kept(self):\n        pass\n"
+        "    def _private(self):\n        pass\n"
+        "def run(s):\n    return s.used()\n"
+    )
+    assert dead_methods(source, {"kept"}) == [(7, "Stream.only_tests"), (10, "Stream.width")]
+
+
 def test_no_public_names_only_tests_read():
-    # re-exports in __init__ and perfbench's own tests do not count as reads;
-    # dense.py is the oracle module, which only tests are meant to call
+    # re-exports in __init__ and perfbench's own tests do not count as reads
     skipped = ("__init__.py", "test_perfbench.py")
     reads = {
         path: _reads(ast.parse(path.read_text()))
@@ -145,11 +178,13 @@ def test_no_public_names_only_tests_read():
     }
     found = []
     for path in sorted((ROOT / PACKAGE).rglob("*.py")):
-        if path.name in (*skipped, "dense.py"):
+        if path.name in skipped:
             continue
+        source = path.read_text()
         elsewhere = set().union(*(names for p, names in reads.items() if p != path))
         found += [f"{path.relative_to(ROOT)}:{line} {name}"
-                  for line, name in dead_names(path.read_text(), elsewhere, private=False)]
+                  for line, name in (*dead_names(source, elsewhere, private=False),
+                                     *dead_methods(source, elsewhere))]
     assert found == []
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+import oracle
 from plotkin_pke import dense
 from plotkin_pke.gf2 import (
     BitVector,
@@ -62,7 +63,7 @@ def test_generator_orthogonal_to_parity(make_rng):
         gen = derive_generator(h)
         g_dense = dense.expand_block_matrix(gen)
         h_dense = dense.expand_block_matrix(BlockMatrix((h.blocks,)))
-        prod = dense.mat_mul(g_dense, h_dense.T)
+        prod = oracle.mat_mul(g_dense, h_dense.T)
         assert not prod.any()
 
 
@@ -75,7 +76,7 @@ def test_encode_matches_dense(make_rng):
     for _ in range(25):
         m = BitVector(params.k, rng.take_bits(params.k))
         got = dense.to_array(encode(gen, m))
-        want = dense.vec_mat_mul(dense.to_array(m), g_dense)
+        want = oracle.vec_mat_mul(dense.to_array(m), g_dense)
         assert got.tolist() == want.tolist()
 
 
@@ -96,7 +97,7 @@ def test_syndrome_matches_dense_and_vanishes_on_codewords(make_rng):
     for _ in range(25):
         y = BitVector(params.n, rng.take_bits(params.n))
         got = dense.to_array(syndrome(h, y))
-        want = dense.vec_mat_mul(dense.to_array(y), h_dense.T)
+        want = oracle.vec_mat_mul(dense.to_array(y), h_dense.T)
         assert got.tolist() == want.tolist()
 
         m = BitVector(params.k, rng.take_bits(params.k))

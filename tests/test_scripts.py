@@ -91,3 +91,21 @@ def test_derive_toy_error_weights(monkeypatch, capsys):
     ], monkeypatch, capsys)
     record = json.loads(out)
     assert isinstance(record["t1"], int) and isinstance(record["t2"], int)
+
+
+def test_derive_toy_error_weights_rejects_bad_flags(monkeypatch, capsys):
+    # each exits 2 with a usage error naming the flag, before any trial
+    module = _load_script("derive_toy_error_weights")
+    for flags, named in (
+        (["--seed", "zz"], "--seed"),
+        (["--seed", "00"], "--seed"),
+        (["--target", "0"], "--target"),
+        (["--target", "2"], "--target"),
+        (["--budget", "5"], "--budget"),
+    ):
+        monkeypatch.setattr(sys, "argv", ["derive_toy_error_weights.py", *flags])
+        with pytest.raises(SystemExit) as info:
+            module.main()
+        assert info.value.code == 2, flags
+        captured = capsys.readouterr()
+        assert captured.out == "" and named in captured.err, flags
