@@ -10,7 +10,7 @@ this script with the same seed must reproduce them exactly.
 import argparse
 import json
 
-from plotkin_pke.bitflip import select_t_for_dfr
+from plotkin_pke.bitflip import SelectionError, select_t_for_dfr
 from plotkin_pke.presets import TOY_SELECTION_SEED, preset
 from plotkin_pke.rng import SEED_BYTES, substream
 from plotkin_pke.scheme import ldpc_decoder_config, mdpc_decoder_config
@@ -39,9 +39,12 @@ def main() -> None:
         ("t2", toy.ldpc_params(), ldpc_decoder_config(toy), 1),
     ]
     out = {"seed": args.seed, "target": args.target, "budget": args.budget}
-    for name, params, cfg, index in coordinates:
-        rng = substream(seed, index)
-        out[name] = select_t_for_dfr(params, args.target, args.budget, cfg, rng)
+    try:
+        for name, params, cfg, index in coordinates:
+            rng = substream(seed, index)
+            out[name] = select_t_for_dfr(params, args.target, args.budget, cfg, rng)
+    except SelectionError as exc:
+        parser.error(f"{name}: {exc}")
     print(json.dumps(out, indent=2))
 
 

@@ -5,13 +5,15 @@ r blockwise rotations of one sparse row, and sparse dual rows of an
 [n, k] code are exactly what a Stern search finds at desk scale.  The
 demo pipeline:
 
-1. expand the public second-coordinate generator, put it in systematic
-   form, and run ``stern_search`` on its dual for a row of weight <= w2;
-2. expand the found row's blockwise rotations into a full circulant parity
-   check H2' (an exact stand-in for the secret H2 up to row rotation);
-3. attack a ciphertext with it, two ways: decode c2 directly, and decode
-   c1 + c2 (which cancels the first-coordinate codeword).  Both words go
-   through one ``decode_many`` pass, one lane each, against H2'.
+1. ``recover_dual_structure``, run once per key: expand the public
+   second-coordinate generator, put it in systematic form, run
+   ``stern_search`` on its dual for a row of weight <= w2, and expand the
+   found row's blockwise rotations into a full circulant parity check H2'
+   (an exact stand-in for the secret H2 up to row rotation);
+2. ``weak_key_attack_demo``, run per ciphertext with that structure: decode
+   c2 directly, and decode c1 + c2 (which cancels the first-coordinate
+   codeword).  Both words go through one ``decode_many`` pass, one lane
+   each, against H2'.  It draws nothing from its ``rng``.
 
 Both decodes fail: c2 carries the first coordinate's codeword as "noise",
 and c1 + c2 still carries z1 + z2 + mask(z1), a vector of weight about
@@ -49,8 +51,8 @@ class AttackReport:
     n0: int
     r: int
     w2: int
-    row_found: bool
-    recovered_row_weight: int | None
+    row_found: bool  # always true, like ``orthogonal``: the demo is given a row
+    recovered_row_weight: int
     orthogonal: bool
     rotations_complete: bool
     stern_iterations: int
@@ -58,7 +60,7 @@ class AttackReport:
     direct_decode_iterations: int
     combined_decode_success: bool
     combined_decode_iterations: int
-    residual_weight: int | None
+    residual_weight: int
     attack_succeeded: bool
 
     def to_dict(self) -> dict:
@@ -123,30 +125,16 @@ def weak_key_attack_demo(
     ct: Ciphertext,
     true_plaintext: BitVector,
     rng: RandomStream,
-    recovered: RecoveredDual | None = None,
-    max_iterations: int = 500,
+    recovered: RecoveredDual,
 ) -> AttackReport:
-    """Attack one ciphertext with the recovered ldpc structure.
+    """Attack one ciphertext with a structure from ``recover_dual_structure``.
 
-    ``true_plaintext`` plays the role of a verification oracle: the report
-    states whether anything the attack produced matches it.  Pass a
-    previously recovered structure to amortize the Stern search across
-    many ciphertexts.
+    The caller runs the Stern search once and passes its result here for
+    every ciphertext.  ``true_plaintext`` plays the role of a verification
+    oracle: the report states whether anything the attack produced matches
+    it.  ``rng`` is unused and nothing is drawn from it.
     """
     params = pk.params
-    if recovered is None:
-        recovered = recover_dual_structure(pk, rng, max_iterations=max_iterations)
-    if recovered is None:
-        return AttackReport(
-            n0=params.n0, r=params.r, w2=params.w2,
-            row_found=False, recovered_row_weight=None,
-            orthogonal=False, rotations_complete=False,
-            stern_iterations=max_iterations,
-            direct_decode_success=False, direct_decode_iterations=0,
-            combined_decode_success=False, combined_decode_iterations=0,
-            residual_weight=None, attack_succeeded=False,
-        )
-
     cfg = ldpc_decoder_config(params)
     m2 = true_plaintext.slice(params.k, params.k)
     true_codeword = pk.sg2.vec_mul(m2)

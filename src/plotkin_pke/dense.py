@@ -19,8 +19,6 @@ from .gf2 import BitVector, BlockMatrix, CirculantBlock
 
 def to_array(v: BitVector) -> np.ndarray:
     """BitVector -> 1-D 0/1 uint8 array, coordinate j at index j."""
-    if v.length == 0:
-        return np.zeros(0, dtype=np.uint8)
     raw = np.frombuffer(v.to_bytes(), dtype=np.uint8)
     return np.unpackbits(raw, bitorder="little")[: v.length].copy()
 

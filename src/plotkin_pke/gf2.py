@@ -381,9 +381,8 @@ class BlockMatrix:
                     pivot_inv = work[i][col].inverse()
                 except NotInvertibleError:
                     continue
-                if i != col:
-                    work[col], work[i] = work[i], work[col]
-                    out[col], out[i] = out[i], out[col]
+                work[col], work[i] = work[i], work[col]
+                out[col], out[i] = out[i], out[col]
                 break
             if pivot_inv is None:
                 raise NotInvertibleError("no invertible pivot block in column")

@@ -10,11 +10,11 @@ Two streams with the same seed produce identical draws on every platform,
 which is what makes key generation, encryption, decoding experiments and
 attack demos reproducible from a single hex seed.
 
-``take_bits`` reads one value at a time.  ``draws`` reads fixed-width values
-a block at a time, for loops that reject and redraw (fixed-weight sampling,
-the shuffle): it yields the same values in the same order and leaves the
-stream where the same ``take_bits`` calls would, so the two readers mix
-freely as long as a ``draws`` iterator is dropped before the next other read.
+``draws`` is the one bit reader: it yields fixed-width values, reading a
+block of them from the buffer at a time, for loops that reject and redraw
+(fixed-weight sampling, the shuffle).  ``take_bits`` reads one value as the
+first value of ``draws(nbits, 1)``, so a read mixes freely with ``draws``
+iterators as long as each iterator is dropped before the next other read.
 """
 
 from __future__ import annotations
@@ -46,26 +46,20 @@ class RandomStream:
 
     def take_bits(self, nbits: int) -> int:
         """Return the next ``nbits`` bits as an int (bit i at weight 2**i)."""
-        if nbits < 0:
-            raise ValueError("bit count must be nonnegative")
-        if nbits == 0:
-            return 0
-        self._ensure_bits(nbits)
-        start = self._pos
-        self._pos += nbits
-        first, last = start // 8, (start + nbits - 1) // 8
-        chunk = int.from_bytes(self._buf[first : last + 1], "little")
-        return (chunk >> (start % 8)) & ((1 << nbits) - 1)
+        return next(self.draws(nbits, 1))
 
     def draws(self, nbits: int, block: int) -> Iterator[int]:
         """Yield the stream's successive ``nbits``-bit values, reading
         ``block`` of them from the buffer at a time.
 
-        Each value equals what ``take_bits(nbits)`` would return in its
-        place, and the stream position moves past it as it is yielded, so
-        stopping after any value leaves the stream exactly there.  The
-        iterator is endless and stays valid only until the stream's next
-        read by any other method or iterator; drop it then.
+        This is the stream's one bit reader: ``take_bits(nbits)`` is the
+        first value of ``draws(nbits, 1)``, so each value equals what
+        ``take_bits(nbits)`` would return in its place.  The stream
+        position moves past a value as it is yielded, so stopping after any
+        value leaves the stream exactly there.  The iterator is endless and
+        stays valid only until the stream's next read by any other method or
+        iterator; drop it then.  Bad arguments raise ``ValueError`` on the
+        first ``next``.
         """
         if nbits < 0 or block < 1:
             raise ValueError("need nbits >= 0 and block >= 1")

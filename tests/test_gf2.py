@@ -468,8 +468,8 @@ def test_draws_match_take_bits(make_rng, nbits, block):
 # first squeeze is 64 bytes (512 bits), and each regrowth squeezes twice the
 # bytes a read needs: the 7-bit read at bit 508 straddles the first squeeze,
 # and the 1000- and 2048-bit reads straddle the regrown ends at bits 1040
-# and 3168
-STREAM_WIDTHS = [5, 3, 500, 7, 64, 1000, 1, 13, 2048, 11]
+# and 3168.  The empty reads come before any squeeze and at an unaligned bit
+STREAM_WIDTHS = [0, 5, 0, 3, 500, 7, 64, 1000, 1, 13, 2048, 11]
 
 
 @pytest.mark.parametrize("tag", [0x00, 0x3C, 0xA5])
@@ -478,6 +478,17 @@ def test_take_bits_matches_shake_reference(make_rng, tag):
     for nbits in STREAM_WIDTHS:
         assert rng.take_bits(nbits) == oracle.stream_bits(rng.seed, pos, nbits), (pos, nbits)
         pos += nbits
+
+
+def test_stream_readers_reject_bad_widths(make_rng):
+    rng = make_rng(0x3C)
+    with pytest.raises(ValueError):
+        rng.take_bits(-1)
+    for nbits, block in ((-1, 1), (3, 0)):
+        values = rng.draws(nbits, block)
+        with pytest.raises(ValueError):
+            next(values)
+    assert rng.take_bits(64) == oracle.stream_bits(rng.seed, 0, 64)
 
 
 @pytest.mark.parametrize("nbits, block", [(1, 7), (7, 32), (11, 3), (64, 5)])

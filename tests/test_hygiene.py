@@ -1,7 +1,7 @@
 """Source hygiene: no module imports a name it never uses, no private
 module-level name of the package goes unread, no public one, nor any public
-method or property of a package class, is read by tests alone, and
-importing the CLI loads no scipy."""
+method or property of a package class, is read by tests alone, only a known
+few are read by perfbench alone, and importing the CLI loads no scipy."""
 
 import ast
 import subprocess
@@ -167,25 +167,55 @@ def test_dead_methods_detected():
     assert dead_methods(source, {"kept"}) == [(7, "Stream.only_tests"), (10, "Stream.width")]
 
 
-def test_no_public_names_only_tests_read():
-    # re-exports in __init__ and perfbench's own tests do not count as reads
-    skipped = ("__init__.py", "test_perfbench.py")
-    reads = {
-        path: _reads(ast.parse(path.read_text()))
-        for folder in ("src", "scripts", "perfbench")
-        for path in sorted((ROOT / folder).rglob("*.py"))
-        if path.name not in skipped
-    }
+def unread_public(package: dict[Path, str], readers: dict[Path, str]) -> list[tuple[Path, int, str]]:
+    """(path, line, name) for each public module-level name, method or
+    property of a ``package`` module that neither its own module nor any
+    other of ``readers`` reads."""
+    reads = {path: _reads(ast.parse(source)) for path, source in readers.items()}
     found = []
-    for path in sorted((ROOT / PACKAGE).rglob("*.py")):
-        if path.name in skipped:
-            continue
-        source = path.read_text()
+    for path, source in package.items():
         elsewhere = set().union(*(names for p, names in reads.items() if p != path))
-        found += [f"{path.relative_to(ROOT)}:{line} {name}"
+        found += [(path, line, name)
                   for line, name in (*dead_names(source, elsewhere, private=False),
                                      *dead_methods(source, elsewhere))]
-    assert found == []
+    return found
+
+
+def _sources(*folders: str) -> dict[Path, str]:
+    # re-exports in __init__ and perfbench's own tests do not count as reads
+    skipped = ("__init__.py", "test_perfbench.py")
+    return {path: path.read_text()
+            for folder in folders
+            for path in sorted((ROOT / folder).rglob("*.py"))
+            if path.name not in skipped}
+
+
+def test_no_public_names_only_tests_read():
+    found = unread_public(_sources(PACKAGE), _sources("src", "scripts", "perfbench"))
+    assert [f"{path.relative_to(ROOT)}:{line} {name}" for path, line, name in found] == []
+
+
+def test_perfbench_only_names_detected():
+    package = {Path("m.py"): (
+        "def run():\n    pass\n"
+        "def probe_only():\n    pass\n"
+        "class Key:\n"
+        "    def load(self):\n        pass\n"
+        "    def timed(self):\n        pass\n"
+    )}
+    cli = {Path("cli.py"): "from m import Key, run\nKey().load()\n"}
+    bench = {Path("bench.py"): "from m import probe_only\nKey().timed()\n"}
+    assert unread_public(package, {**package, **cli, **bench}) == []
+    assert unread_public(package, {**package, **cli}) == [
+        (Path("m.py"), 3, "probe_only"), (Path("m.py"), 8, "Key.timed")]
+
+
+def test_perfbench_alone_keeps_only_known_names():
+    # what only a perfbench probe still reads: these go once the benchmark
+    # drops their probes, and no other name may be kept alive that way
+    found = unread_public(_sources(PACKAGE), _sources("src", "scripts"))
+    assert {f"{path.stem}.{name}" for path, _, name in found} == {
+        "bitflip.upc_profile", "dense.systematic_form", "qc.encode"}
 
 
 def test_cli_import_loads_no_scipy():

@@ -109,3 +109,21 @@ def test_derive_toy_error_weights_rejects_bad_flags(monkeypatch, capsys):
         assert info.value.code == 2, flags
         captured = capsys.readouterr()
         assert captured.out == "" and named in captured.err, flags
+
+
+def test_derive_toy_error_weights_reports_infeasible_target(monkeypatch, capsys):
+    # a real infeasible selection (--target 1e-3 --budget 10000) takes tens
+    # of seconds, so the selection is made to fail at once
+    module = _load_script("derive_toy_error_weights")
+
+    def infeasible(params, target, budget, cfg, rng):
+        raise module.SelectionError(f"no error weight t >= 1 meets target {target}")
+
+    monkeypatch.setattr(module, "select_t_for_dfr", infeasible)
+    monkeypatch.setattr(sys, "argv", ["derive_toy_error_weights.py",
+                                      "--target", "1e-3", "--budget", "10000"])
+    with pytest.raises(SystemExit) as info:
+        module.main()
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "meets target 0.001" in captured.err

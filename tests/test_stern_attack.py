@@ -452,24 +452,27 @@ def test_attack_demo_one_decoder_pass_per_ciphertext(make_rng, monkeypatch):
     assert passes == [2, 2, 2]
 
 
-def test_attack_demo_without_a_found_row(make_rng):
+def test_attack_demo_draws_nothing_from_its_stream(make_rng):
+    # the CLI and perfbench pass the stream that encrypt reads next
     rng = make_rng(0x58)
     pk, _ = keygen(LAB, rng)
+    rec = recover_dual_structure(pk, rng, max_iterations=500)
+    assert rec is not None
     m = BitVector(LAB.plaintext_bits, rng.take_bits(LAB.plaintext_bits))
     ct = encrypt(pk, m, rng)
-    report = weak_key_attack_demo(pk, ct, m, rng, max_iterations=0)
-    assert not report.row_found
-    assert report.recovered_row_weight is None
-    assert report.residual_weight is None
-    assert not report.attack_succeeded
+    used, twin = make_rng(0x57), make_rng(0x57)
+    weak_key_attack_demo(pk, ct, m, used, rec)
+    assert used.take_bits(64) == twin.take_bits(64)
 
 
 def test_attack_report_json(make_rng):
     rng = make_rng(0x59)
     pk, _ = keygen(LAB, rng)
+    rec = recover_dual_structure(pk, rng, max_iterations=500)
+    assert rec is not None
     m = BitVector(LAB.plaintext_bits, rng.take_bits(LAB.plaintext_bits))
     ct = encrypt(pk, m, rng)
-    report = weak_key_attack_demo(pk, ct, m, rng)
+    report = weak_key_attack_demo(pk, ct, m, rng, recovered=rec)
     record = json.loads(json.dumps(report.to_dict()))
     assert set(record) == {
         "n0", "r", "w2", "rowFound", "recoveredRowWeight", "orthogonal",
