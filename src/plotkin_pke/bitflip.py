@@ -25,13 +25,24 @@ is bit k of the count at position j), and backflip's ttl is an expiry
 schedule, one int per coming pass holding the flips due then.  The counts
 are summed bit-sliced over rotations of s (Drucker-Gueron, "A toolbox for
 software optimization of QC-MDPC code-based cryptosystems", J. Cryptogr.
-Eng. 2019) by a carry-save tree: each full adder takes three words and
-returns a sum and a carry, a fixed five word operations.  It is carry-save
-rather than a ripple counter because at large r some bit carries on every
-add, so a ripple counter walks every plane each time: at r = 11779 and
-block weight 71, on a 2-vCPU x86 machine, it took 363 us per count against
-207 us for the tree.  Thresholds become a bit-sliced ``count >= bound`` comparator,
-the maximum count a scan from the top plane down, and the flip set an int.
+Eng. 2019).  The rotations follow a plan built once per decode
+(``_count_plan``): each count word is one expression pairing a rotation
+into block 0 with one into another block, and a bit's count is the number
+of words holding it.  A carry-save tree sums the words into planes: each
+full adder takes three words and returns a sum and a carry, a fixed five
+word operations.  It is carry-save rather than a ripple counter because at
+large r some bit carries on every add, so a ripple counter walks every
+plane each time: at r = 11779 and block weight 71, on a 2-vCPU x86
+machine, it took 363 us per count against 207 us for the tree.  The tree
+runs once per pass.  Backflip's undo test needs only "count > 0", which is
+the OR of the words, so a pass that undoes flips builds the words again
+for the moved syndrome and sums only those.  Thresholds become a
+bit-sliced ``count >= bound`` comparator, the maximum count a scan from the
+top plane down, and the flip set an int.  A flip or undo moves s by its
+product with the rows of H^T, whose supports the plan's walk also reads:
+a block of flips heavier than its row is shifted by each index of the
+row's support, and a lighter one is walked by its own bits
+(``gf2._block_dot``).
 
 ``decode_many`` decodes several words against one H in a single pass, one
 word per lane: word l's e, flips, upc planes and expiry slots take bits
@@ -124,24 +135,49 @@ class DecodeOutcome:
     error_vector: BitVector | None
 
 
-def _upc_planes(s: int, supports: list[tuple[int, ...]], r: int, blocks: int) -> list[int]:
-    """upc counts of every bit from syndrome s and the row supports of H, as
-    bit planes: bit j of plane k is bit k of upc[j].
+def _count_plan(h: QcParityCheck, blocks: int) -> tuple[tuple, list[list[int]]]:
+    """The rotation plan of the upc count and the supports of H^T's rows,
+    from one walk over H's row supports: the per-decode set-up.
 
-    Bit j of block i sits in the checks (j - u) mod r, u in supp(h_i), so
-    its count adds one rotation of s per u: the slice of the doubled
-    syndrome s2 = s | s << r that lands on block i when shifted up by
-    u + (i - 1) r.  Word m carries the m-th rotation of every block side by
-    side, and a carry-save tree sums the words.  An empty block counts 0.
-    ``blocks`` is the r-bit mask at the foot of every lane (see the module
-    docstring); a lane is n >= 2r bits wide, so no slice reaches the next.
+    Row i of H^T has support t = r - u, u in supp(h_i), read mod r (the
+    syndrome fold takes x^r to 1).  Bit j of block i sits in the checks
+    j + t mod r, so its count adds one rotation of s per t: the slice of
+    the doubled syndrome s2 = s | s << r that lands on block i when s2 is
+    shifted right by t (block 0) or left by i r - t (the other blocks) and
+    masked to the block.  The plan holds those shifts and masks: ``pairs``
+    puts a block-0 rotation and one from another block into one count word,
+    and the rotations left over on either side, as those of unequal or
+    empty blocks, take a word of their own (``heads``, ``tails``).  No
+    shift is left to work out per pass.  ``blocks`` is the r-bit mask
+    at the foot of every lane (see the module docstring); a lane is n >= 2r
+    bits wide, so no slice reaches the next.
     """
+    r = h.params.r
+    t_supports = [[r - u for u in block.row0.support()] for block in h.blocks]
+    heads, tails = t_supports[0], []
+    for i, supp in enumerate(t_supports[1:], 1):
+        mask = blocks << i * r
+        tails += [(i * r - t, mask) for t in supp]
+    paired = min(len(heads), len(tails))
+    return (r, blocks, [*zip(heads, tails)], heads[paired:], tails[paired:]), t_supports
+
+
+def _count_words(s: int, plan: tuple) -> list[int]:
+    """The count words of syndrome s: each bit's upc count is the number of
+    words holding it, and each word is one expression of the ``_count_plan``
+    rotations.  So the bits whose count is nonzero are the OR of the words."""
+    r, blocks, pairs, heads, tails = plan
     s2 = s | s << r
-    words = [(s2 >> (r - u)) & blocks for u in supports[0]]
-    for i, supp in enumerate(supports[1:], 1):
-        mask_i, offset = blocks << i * r, (i - 1) * r
-        rotated = [(s2 << offset + u) & mask_i for u in supp]
-        words = [a | b for a, b in zip_longest(words, rotated, fillvalue=0)]
+    words = [(s2 >> a) & blocks | (s2 << b) & mask for a, (b, mask) in pairs]
+    words += [(s2 >> a) & blocks for a in heads]
+    words += [(s2 << b) & mask for b, mask in tails]
+    return words
+
+
+def _carry_save(words: list[int]) -> list[int]:
+    """The upc counts as bit planes, bit j of plane k being bit k of the
+    count at position j, summed from the count words by a carry-save tree:
+    each full adder takes three words and returns a sum and a carry."""
     planes = []
     while words:  # every word weighs 2 ** len(planes)
         total, carries = words[0], []
@@ -171,9 +207,7 @@ def _at_least(planes: list[int], bounds: tuple[int, ...], within: int) -> int:
     down, keeping the bits already greater (gt) and those equal so far (eq).
     No ``~``: on a long int that costs a two's-complement round trip."""
     gt, eq = 0, within
-    for k in reversed(range(max(len(planes), len(bounds)))):
-        c = planes[k] if k < len(planes) else 0
-        b = bounds[k] if k < len(bounds) else 0
+    for c, b in reversed([*zip_longest(planes, bounds, fillvalue=0)]):
         differ = eq & (c ^ b)
         gt |= differ & c
         eq ^= differ
@@ -192,7 +226,8 @@ def _max_count(planes: list[int], within: int) -> int:
 
 
 def _any(planes: list[int]) -> int:
-    """The bits whose count is nonzero."""
+    """The bits whose count is nonzero: the OR of its bit planes, or as
+    well of its count words."""
     out = 0
     for p in planes:
         out |= p
@@ -229,8 +264,8 @@ def _ttl_levels(upc: list[int], bounds: tuple[tuple[int, ...], ...], fresh: int)
 def upc_profile(h: QcParityCheck, word: BitVector) -> np.ndarray:
     """Unsatisfied-check count for every bit position, as an int array."""
     n, r = h.params.n, h.params.r
-    planes = _upc_planes(syndrome(h, word).value, [b.row0.support() for b in h.blocks], r,
-                         (1 << r) - 1)
+    plan, _ = _count_plan(h, (1 << r) - 1)
+    planes = _carry_save(_count_words(syndrome(h, word).value, plan))
     upc = np.zeros(n, dtype=np.int32)
     for k, plane in enumerate(planes):
         raw = np.frombuffer(plane.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
@@ -269,9 +304,9 @@ def decode_many(h: QcParityCheck, words: Sequence[BitVector],
     within = (1 << lanes * n) - 1  # the masks of the lanes still decoding
     blocks = within // full * ((1 << r) - 1)  # the r bits at the foot of every lane
     h_t_rows = _transposed_rows(h)
-    supports = [b.row0.support() for b in h.blocks]
-    weights = h.block_weights
-    s = _block_dot(y, h_t_rows, r, blocks)
+    plan, t_supports = _count_plan(h, blocks)
+    weights = tuple(map(len, t_supports))
+    s = _block_dot(y, h_t_rows, r, blocks, t_supports)
     e = 0
     spent = [cfg.max_iters] * lanes  # the iterations each lane took
 
@@ -295,16 +330,17 @@ def decode_many(h: QcParityCheck, words: Sequence[BitVector],
                 within ^= bits
         if not within or done == cfg.max_iters:
             break
-        upc = _upc_planes(s, supports, r, blocks)
+        count = _count_words(s, plan)
         if pending:
             slot = done % TTL_SATURATION
             expired, expiry[slot] = expiry[slot], 0
-            undo = expired & _any(upc)  # expired, and its support still unsatisfied
+            undo = expired & _any(count)  # expired, and its support still unsatisfied
             if undo:
                 e ^= undo  # a lane whose s it clears counts 0, so takes no flips below
-                s ^= _block_dot(undo, h_t_rows, r, blocks)
-                upc = _upc_planes(s, supports, r, blocks)
+                s ^= _block_dot(undo, h_t_rows, r, blocks, t_supports)
+                count = _count_words(s, plan)
             pending ^= expired
+        upc = _carry_save(count)
 
         if cfg.threshold == "max-upc-delta":  # per lane; clamp so zero-count bits never qualify
             tops = (max(_max_count(upc, within & bits) - cfg.delta, 1)
@@ -321,7 +357,7 @@ def decode_many(h: QcParityCheck, words: Sequence[BitVector],
                     expiry[expires % TTL_SATURATION] |= level
                 pending ^= flips
             e ^= flips  # all selected bits at once
-            s ^= _block_dot(flips, h_t_rows, r, blocks)
+            s ^= _block_dot(flips, h_t_rows, r, blocks, t_supports)
         active = flips | pending
 
     # e and s still hold what every ended lane's last pass left: its flips

@@ -29,10 +29,13 @@ Every product goes through ``_mul``, which has two branches on the
 weight of the lighter operand: up to ``_SPARSE_MAX_WEIGHT`` (the rows of H)
 one shift-xor per set bit, above it (S, S^-1, the public generator, the
 plaintext) a comb over 32-bit chunks, eight 4-bit windows each, with one
-shift-xor into the accumulator per nonzero chunk.  ``_mul`` does not
-reduce: ``_block_dot`` is the one reducer, folding a column's summed
-products once.  A block product is ``_block_dot`` over a column of one,
-and block row i of ``A @ B`` is ``B.vec_mul`` of A's row i.
+shift-xor into the accumulator per nonzero chunk.  The one exception is
+a product that ``_block_dot`` is handed the row's support for (the
+decoder's syndrome updates): a block heavier than that support is shifted
+by each index of it.  ``_mul`` does not reduce: ``_block_dot`` is the one
+reducer, folding a column's summed products once.  A block product is
+``_block_dot`` over a column of one, and block row i of ``A @ B`` is
+``B.vec_mul`` of A's row i.
 """
 
 from __future__ import annotations
@@ -175,7 +178,8 @@ def _mul(a: int, b: int) -> int:
     return acc
 
 
-def _block_dot(y: int, rows: list[int], r: int, blocks: int | None = None) -> int:
+def _block_dot(y: int, rows: list[int], r: int, blocks: int | None = None,
+               supports: list[list[int]] | None = None) -> int:
     """sum_i y_i(x) * rows[i](x) mod (x^r - 1) over the r-bit blocks y_i of
     the packed word y: a row vector times one column of circulants.
 
@@ -184,12 +188,21 @@ def _block_dot(y: int, rows: list[int], r: int, blocks: int | None = None) -> in
     word l's sum at bit l n.  Block i of every word is multiplied at once,
     each product staying inside its word, and the unreduced products are
     summed and folded once: folding is linear, so the sum is the same as
-    folding every product.
+    folding every product.  ``supports``, when given, holds the supports
+    of the rows, an index r standing for 0 (the decoder's H^T, read once
+    per decode): a y_i heavier than its row's support is shifted by each
+    index of it, with no scan for set bits, and a lighter one goes through
+    ``_mul`` as usual.
     """
     mask = (1 << r) - 1 if blocks is None else blocks
     acc = 0
     for i, row in enumerate(rows):
-        acc ^= _mul((y >> i * r) & mask, row)
+        y_i = (y >> i * r) & mask
+        if supports and y_i.bit_count() > len(supports[i]):
+            for u in supports[i]:
+                acc ^= y_i << u
+        elif y_i:
+            acc ^= _mul(y_i, row)
     return (acc & mask) ^ (acc >> r & mask)
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .gf2 import (
     BitVector,
@@ -98,16 +99,15 @@ class QcParityCheck:
             if b.r != self.params.r:
                 raise ValueError("block size differs from r")
 
-    @property
-    def block_weights(self) -> tuple[int, ...]:
-        return tuple(b.weight for b in self.blocks)
 
-
+@lru_cache(maxsize=16)
 def _two_generates(r: int) -> bool:
     """True when 2 has order r - 1 modulo r (Lucas test; r is then prime).
 
     For such r, x^r - 1 = (x + 1) Phi_r over GF(2) with Phi_r = 1 + x + ...
     + x^(r-1) irreducible, so a row inverts iff its weight is odd and below r.
+    A pure function of r, so memoized: every ``sample_parity_check`` at one
+    r shares one trial division.
     """
     if r <= 2 or pow(2, r - 1, r) != 1:
         return False

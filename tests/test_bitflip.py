@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import time
 
 import numpy as np
@@ -344,8 +345,8 @@ def reference_decode(h, word, cfg):
     outcome, and how the decode ended (clean, undo, flip, stall, max_iters)."""
     r, n = h.params.r, h.params.n
     h_t_rows = _transposed_rows(h)
-    supports = [b.row0.support() for b in h.blocks]
-    weights = h.block_weights
+    plan, _ = bitflip._count_plan(h, (1 << r) - 1)
+    weights = tuple(b.weight for b in h.blocks)
     full = (1 << n) - 1
     s = _block_dot(word.value, h_t_rows, r)
     e = 0
@@ -368,7 +369,7 @@ def reference_decode(h, word, cfg):
     majority = tuple((w + 2) // 2 for w in weights)
     ttl = [0] * sat.bit_length()
     for iteration in range(1, cfg.max_iters + 1):
-        upc = bitflip._upc_planes(s, supports, r, (1 << r) - 1)
+        upc = bitflip._carry_save(bitflip._count_words(s, plan))
         pending = bitflip._any(ttl)
         if pending:
             borrow = pending
@@ -380,7 +381,7 @@ def reference_decode(h, word, cfg):
             if undo:
                 if toggle(undo):
                     return success(iteration, "undo")
-                upc = bitflip._upc_planes(s, supports, r, (1 << r) - 1)
+                upc = bitflip._carry_save(bitflip._count_words(s, plan))
             pending ^= expired
         if cfg.threshold == "majority":
             thresholds = majority
@@ -415,7 +416,7 @@ def _lane_checks(i):
     rng = substream(b"\x4c" * 32, i)
     two = sample_parity_check(rng, QcParams(2, 101, 6, "ldpc"))
     three = sample_parity_check(rng, LDPC3)
-    assert three.block_weights == (4, 3, 3)
+    assert [b.weight for b in three.blocks] == [4, 3, 3]
     holed = QcParityCheck(LDPC3, (CirculantBlock(101, BitVector(101, 0)),) + three.blocks[1:])
     return rng, (two, three, holed)
 
@@ -476,6 +477,65 @@ def test_decode_many_undoes_saturated_ttl():
         want, _ = reference_decode(h, y, cfg)
         assert want.success and want.iterations == 11 and want.error_vector == y, i
         assert decode_many(h, (y, y), cfg) == (want, want), i
+
+
+def _record_calls(monkeypatch, events):
+    """Append W for every count-word build, T for every carry-save tree and
+    D for every syndrome product that the decoder makes, in call order."""
+    for name, tag in (("_count_words", "W"), ("_carry_save", "T"), ("_block_dot", "D")):
+        def recorded(*args, real=getattr(bitflip, name), tag=tag):
+            events.append(tag)
+            return real(*args)
+        monkeypatch.setattr(bitflip, name, recorded)
+
+
+@pytest.mark.parametrize("cfg, t", [(backflip_config(), 22), (classic_bf_config(), 10)])
+def test_decode_pass_sums_one_count_tree(monkeypatch, cfg, t):
+    # after the first syndrome (D), every pass builds the count words (W);
+    # an undo moves s (D) and builds them again (W); the pass sums its
+    # words once (T) and then moves s by its flips (D).  The toy t = 22
+    # backflip word undoes flips in most of its passes
+    rng = substream(b"\x16" * 32, 0)
+    h = sample_parity_check(rng, TOY_MDPC)
+    y = sample_fixed_weight(rng, TOY_MDPC.n, t)
+    want = decode(h, y, cfg)
+    assert want.success and want.iterations > 2
+    events = []
+    _record_calls(monkeypatch, events)
+    assert decode(h, y, cfg) == want
+    trace = "".join(events)
+    assert re.fullmatch(r"D(W(DW)?TD?)*", trace), trace
+    assert trace.count("T") == want.iterations  # one tree per pass
+    undone = trace.count("WDW")
+    assert undone >= 1 if cfg.variant == "backflip" else undone == 0
+
+
+def test_syndrome_update_walks_transposed_support():
+    # the decoder moves s by _block_dot over the H^T supports of
+    # _count_plan: a block of flips heavier than its row's support is
+    # shifted by each index of it, a lighter one walked by its own bits.
+    # Block weights either side of that switch, and a dense block, over
+    # 1, 2 and 3 lanes, on toy ldpc (weights 3 and 5), LDPC3 and its copy
+    # with an empty first block
+    rng = substream(b"\x5d" * 32, 0)
+    toy = sample_parity_check(rng, TOY_LDPC)
+    assert [b.weight for b in toy.blocks] == [3, 5]
+    for h in (toy, *_lane_checks(1)[1][1:]):
+        r, n = h.params.r, h.params.n
+        rows = _transposed_rows(h)
+        for lanes in (1, 2, 3):
+            blocks = sum(((1 << r) - 1) << lane * n for lane in range(lanes))
+            _, supports = bitflip._count_plan(h, blocks)
+            for pick in (lambda w: 0, lambda w: 1, lambda w: w - 1, lambda w: w,
+                         lambda w: w + 1, lambda w: lanes * r // 2):
+                for _ in range(3):
+                    y = 0
+                    for i, supp in enumerate(supports):
+                        flips = sample_fixed_weight(rng, lanes * r, max(pick(len(supp)), 0)).value
+                        for lane in range(lanes):
+                            y |= (flips >> lane * r & (1 << r) - 1) << lane * n + i * r
+                    want = _block_dot(y, rows, r, blocks)
+                    assert _block_dot(y, rows, r, blocks, supports) == want
 
 
 def test_config_validation():
