@@ -26,22 +26,21 @@ schedule, one int per coming pass holding the flips due then.  The counts
 are summed bit-sliced over rotations of s (Drucker-Gueron, "A toolbox for
 software optimization of QC-MDPC code-based cryptosystems", J. Cryptogr.
 Eng. 2019).  The rotations follow a plan built once per decode
-(``_count_plan``): each count word is one expression pairing a rotation
-into block 0 with one into another block, and a bit's count is the number
-of words holding it.  A carry-save tree sums the words into planes: each
-full adder takes three words and returns a sum and a carry, a fixed five
-word operations.  It is carry-save rather than a ripple counter because at
-large r some bit carries on every add, so a ripple counter walks every
-plane each time: at r = 11779 and block weight 71, on a 2-vCPU x86
-machine, it took 363 us per count against 207 us for the tree.  The tree
-runs once per pass.  Backflip's undo test needs only "count > 0", which is
-the OR of the words, so a pass that undoes flips builds the words again
-for the moved syndrome and sums only those.  Thresholds become a
-bit-sliced ``count >= bound`` comparator, the maximum count a scan from the
-top plane down, and the flip set an int.  A flip or undo moves s by its
-product with the rows of H^T, whose supports the plan's walk also reads:
-a block of flips heavier than its row is shifted by each index of the
-row's support, and a lighter one is walked by its own bits
+(``_count_plan``): count word m ORs the m-th rotation into every block, and
+a bit's count is the number of words holding it.  A carry-save tree sums
+the words into planes: each full adder takes three words and returns a sum
+and a carry, a fixed five word operations.  It is carry-save rather than a
+ripple counter because at large r some bit carries on every add, so a
+ripple counter walks every plane each time: at r = 11779 and block weight
+71, on a 2-vCPU x86 machine, it took 363 us per count against 207 us for
+the tree.  The tree runs once per pass.  Backflip's undo test needs only
+"count > 0", which is the OR of the words, so a pass that undoes flips
+builds the words again for the moved syndrome and sums only those.
+Thresholds become a bit-sliced ``count >= bound`` comparator, the maximum
+count a scan from the top plane down, and the flip set an int.  A flip or
+undo moves s by its product with the rows of H^T, whose supports the plan's
+walk also reads: a block of flips heavier than its row is shifted by each
+index of the row's support, and a lighter one is walked by its own bits
 (``gf2._block_dot``).
 
 ``decode_many`` decodes several words against one H in a single pass, one
@@ -73,18 +72,19 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, fields, is_dataclass
 from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache, partial
 from itertools import zip_longest
 from math import comb, exp, inf, lgamma, log, log1p, sqrt
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .gf2 import BitVector, _block_dot, sample_fixed_weight
-from .qc import QcParams, QcParityCheck, _transposed_rows, sample_parity_check, syndrome
+from .qc import QcParams, QcParityCheck, sample_parity_check, syndrome
 from .rng import RandomStream, derive_substream_seed, substream
 
 VARIANTS = ("classic-bf", "backflip")
@@ -135,42 +135,67 @@ class DecodeOutcome:
     error_vector: BitVector | None
 
 
-def _count_plan(h: QcParityCheck, blocks: int) -> tuple[tuple, list[list[int]]]:
-    """The rotation plan of the upc count and the supports of H^T's rows,
-    from one walk over H's row supports: the per-decode set-up.
+class _CountPlan(NamedTuple):
+    """What a decode reads of H, built once per decode (``_count_plan``)."""
 
-    Row i of H^T has support t = r - u, u in supp(h_i), read mod r (the
-    syndrome fold takes x^r to 1).  Bit j of block i sits in the checks
-    j + t mod r, so its count adds one rotation of s per t: the slice of
-    the doubled syndrome s2 = s | s << r that lands on block i when s2 is
-    shifted right by t (block 0) or left by i r - t (the other blocks) and
-    masked to the block.  The plan holds those shifts and masks: ``pairs``
-    puts a block-0 rotation and one from another block into one count word,
-    and the rotations left over on either side, as those of unequal or
-    empty blocks, take a word of their own (``heads``, ``tails``).  No
-    shift is left to work out per pass.  ``blocks`` is the r-bit mask
-    at the foot of every lane (see the module docstring); a lane is n >= 2r
-    bits wide, so no slice reaches the next.
+    r: int
+    blocks: int  # the r-bit mask at the foot of every lane
+    # per count word: the right shift onto block 0, the left shift and
+    # mask onto block 1
+    pairs: list[tuple[int, int, int]]
+    others: list[tuple[int, list[int]]]  # mask and left shifts onto block i, i >= 2
+    h_t_rows: list[int]  # first row of each H_i^T, packed
+    h_t_supports: list[list[int]]  # their supports, r standing for 0
+
+
+def _count_plan(h: QcParityCheck, blocks: int) -> _CountPlan:
+    """The per-decode set-up: the rotations of the upc count and the rows of
+    H^T with their supports, from one walk over H's row supports.
+
+    Row i of H^T has support t = r - u mod r, u in supp(h_i) (the syndrome
+    fold takes x^r to 1).  Bit j of block i sits in the checks j + t mod r,
+    so its count adds one rotation of s per t: bits t to t + r - 1 of the
+    doubled syndrome s2 = s | s << r, moved onto block i, that is shifted
+    right by t (block 0) or left by i r - t (the other blocks) and masked
+    to the block.  The plan holds those shifts and masks, so no shift is
+    left to work out per pass.  There are as many count words as the
+    heaviest block has rotations, and word m takes the m-th rotation of
+    every block (see ``_count_words``).  Blocks 0 and 1 share one expression
+    per word, so a lighter one of them is padded: a right shift past every
+    lane, or a left shift masked by 0, each giving 0.  The packed rows of
+    H^T are ORed from the same supports, which the syndrome updates walk
+    too (``gf2._block_dot``).  ``blocks`` is the r-bit mask at the foot of
+    every lane (see the module docstring); a lane is n >= 2r bits wide, so
+    no slice reaches the next.
     """
     r = h.params.r
-    t_supports = [[r - u for u in block.row0.support()] for block in h.blocks]
-    heads, tails = t_supports[0], []
-    for i, supp in enumerate(t_supports[1:], 1):
-        mask = blocks << i * r
-        tails += [(i * r - t, mask) for t in supp]
-    paired = min(len(heads), len(tails))
-    return (r, blocks, [*zip(heads, tails)], heads[paired:], tails[paired:]), t_supports
+    h_t_supports, h_t_rows = [], []
+    for block in h.blocks:
+        t_supp = [r - u for u in block.row0.support()]
+        row = 0
+        for t in t_supp:
+            row |= 1 << t % r
+        h_t_supports.append(t_supp)
+        h_t_rows.append(row)
+    words = max(map(len, h_t_supports))
+    pad0, pad1 = (words - len(t_supp) for t_supp in h_t_supports[:2])
+    pairs = [*zip(h_t_supports[0] + [sys.maxsize] * pad0,
+                  [r - t for t in h_t_supports[1]] + [0] * pad1,
+                  [blocks << r] * (words - pad1) + [0] * pad1)]
+    others = [(blocks << i * r, [i * r - t for t in t_supp])
+              for i, t_supp in enumerate(h_t_supports[2:], 2)]
+    return _CountPlan(r, blocks, pairs, others, h_t_rows, h_t_supports)
 
 
-def _count_words(s: int, plan: tuple) -> list[int]:
-    """The count words of syndrome s: each bit's upc count is the number of
-    words holding it, and each word is one expression of the ``_count_plan``
-    rotations.  So the bits whose count is nonzero are the OR of the words."""
-    r, blocks, pairs, heads, tails = plan
-    s2 = s | s << r
-    words = [(s2 >> a) & blocks | (s2 << b) & mask for a, (b, mask) in pairs]
-    words += [(s2 >> a) & blocks for a in heads]
-    words += [(s2 << b) & mask for b, mask in tails]
+def _count_words(s: int, plan: _CountPlan) -> list[int]:
+    """The count words of syndrome s: word m ORs the m-th ``_count_plan``
+    rotation of every block.  Each bit's upc count is the number of words
+    holding it, and the bits whose count is nonzero are the OR of the
+    words."""
+    s2 = s | s << plan.r
+    words = [s2 >> a & plan.blocks | s2 << b & mask for a, b, mask in plan.pairs]
+    for mask, shifts in plan.others:
+        words[:len(shifts)] = [word | s2 << shift & mask for word, shift in zip(words, shifts)]
     return words
 
 
@@ -264,8 +289,7 @@ def _ttl_levels(upc: list[int], bounds: tuple[tuple[int, ...], ...], fresh: int)
 def upc_profile(h: QcParityCheck, word: BitVector) -> np.ndarray:
     """Unsatisfied-check count for every bit position, as an int array."""
     n, r = h.params.n, h.params.r
-    plan, _ = _count_plan(h, (1 << r) - 1)
-    planes = _carry_save(_count_words(syndrome(h, word).value, plan))
+    planes = _carry_save(_count_words(syndrome(h, word).value, _count_plan(h, (1 << r) - 1)))
     upc = np.zeros(n, dtype=np.int32)
     for k, plane in enumerate(planes):
         raw = np.frombuffer(plane.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
@@ -303,10 +327,10 @@ def decode_many(h: QcParityCheck, words: Sequence[BitVector],
     masks = [full << lane * n for lane in range(lanes)]
     within = (1 << lanes * n) - 1  # the masks of the lanes still decoding
     blocks = within // full * ((1 << r) - 1)  # the r bits at the foot of every lane
-    h_t_rows = _transposed_rows(h)
-    plan, t_supports = _count_plan(h, blocks)
-    weights = tuple(map(len, t_supports))
-    s = _block_dot(y, h_t_rows, r, blocks, t_supports)
+    plan = _count_plan(h, blocks)
+    h_t_rows, h_t_supports = plan.h_t_rows, plan.h_t_supports
+    weights = tuple(map(len, h_t_supports))
+    s = _block_dot(y, h_t_rows, r, blocks, h_t_supports)
     e = 0
     spent = [cfg.max_iters] * lanes  # the iterations each lane took
 
@@ -337,7 +361,7 @@ def decode_many(h: QcParityCheck, words: Sequence[BitVector],
             undo = expired & _any(count)  # expired, and its support still unsatisfied
             if undo:
                 e ^= undo  # a lane whose s it clears counts 0, so takes no flips below
-                s ^= _block_dot(undo, h_t_rows, r, blocks, t_supports)
+                s ^= _block_dot(undo, h_t_rows, r, blocks, h_t_supports)
                 count = _count_words(s, plan)
             pending ^= expired
         upc = _carry_save(count)
@@ -357,7 +381,7 @@ def decode_many(h: QcParityCheck, words: Sequence[BitVector],
                     expiry[expires % TTL_SATURATION] |= level
                 pending ^= flips
             e ^= flips  # all selected bits at once
-            s ^= _block_dot(flips, h_t_rows, r, blocks, t_supports)
+            s ^= _block_dot(flips, h_t_rows, r, blocks, h_t_supports)
         active = flips | pending
 
     # e and s still hold what every ended lane's last pass left: its flips

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .gf2 import (
     BitVector,
@@ -100,14 +99,11 @@ class QcParityCheck:
                 raise ValueError("block size differs from r")
 
 
-@lru_cache(maxsize=16)
 def _two_generates(r: int) -> bool:
     """True when 2 has order r - 1 modulo r (Lucas test; r is then prime).
 
     For such r, x^r - 1 = (x + 1) Phi_r over GF(2) with Phi_r = 1 + x + ...
     + x^(r-1) irreducible, so a row inverts iff its weight is odd and below r.
-    A pure function of r, so memoized: every ``sample_parity_check`` at one
-    r shares one trial division.
     """
     if r <= 2 or pow(2, r - 1, r) != 1:
         return False

@@ -345,7 +345,7 @@ def reference_decode(h, word, cfg):
     outcome, and how the decode ended (clean, undo, flip, stall, max_iters)."""
     r, n = h.params.r, h.params.n
     h_t_rows = _transposed_rows(h)
-    plan, _ = bitflip._count_plan(h, (1 << r) - 1)
+    plan = bitflip._count_plan(h, (1 << r) - 1)
     weights = tuple(b.weight for b in h.blocks)
     full = (1 << n) - 1
     s = _block_dot(word.value, h_t_rows, r)
@@ -510,32 +510,48 @@ def test_decode_pass_sums_one_count_tree(monkeypatch, cfg, t):
     assert undone >= 1 if cfg.variant == "backflip" else undone == 0
 
 
+def _toy_and_lane_checks():
+    """Toy ldpc (block weights 3 and 5), LDPC3 (4, 3, 3) and its copy with
+    an empty first block: equal, unequal and empty blocks."""
+    toy = sample_parity_check(substream(b"\x5d" * 32, 0), TOY_LDPC)
+    assert [b.weight for b in toy.blocks] == [3, 5]
+    return (toy, *_lane_checks(1)[1][1:])
+
+
+def test_count_words_one_per_rotation_of_the_heaviest_block():
+    # word m ORs the m-th rotation of every block, so there are as many
+    # words as the heaviest block has rotations, whatever n0: 5 on toy
+    # ldpc (3, 5), 4 on LDPC3 (4, 3, 3), 3 on its holed copy (0, 3, 3)
+    for h, count in zip(_toy_and_lane_checks(), (5, 4, 3)):
+        plan = bitflip._count_plan(h, (1 << h.params.r) - 1)
+        s = sample_fixed_weight(substream(b"\x5e" * 32, count), h.params.r, 40).value
+        assert len(bitflip._count_words(s, plan)) == count
+
+
 def test_syndrome_update_walks_transposed_support():
-    # the decoder moves s by _block_dot over the H^T supports of
+    # the decoder moves s by _block_dot over the H^T rows and supports of
     # _count_plan: a block of flips heavier than its row's support is
     # shifted by each index of it, a lighter one walked by its own bits.
     # Block weights either side of that switch, and a dense block, over
-    # 1, 2 and 3 lanes, on toy ldpc (weights 3 and 5), LDPC3 and its copy
-    # with an empty first block
-    rng = substream(b"\x5d" * 32, 0)
-    toy = sample_parity_check(rng, TOY_LDPC)
-    assert [b.weight for b in toy.blocks] == [3, 5]
-    for h in (toy, *_lane_checks(1)[1][1:]):
+    # 1, 2 and 3 lanes, on equal, unequal and empty blocks
+    rng = substream(b"\x5d" * 32, 1)
+    for h in _toy_and_lane_checks():
         r, n = h.params.r, h.params.n
         rows = _transposed_rows(h)
         for lanes in (1, 2, 3):
             blocks = sum(((1 << r) - 1) << lane * n for lane in range(lanes))
-            _, supports = bitflip._count_plan(h, blocks)
+            plan = bitflip._count_plan(h, blocks)
+            assert plan.h_t_rows == rows
             for pick in (lambda w: 0, lambda w: 1, lambda w: w - 1, lambda w: w,
                          lambda w: w + 1, lambda w: lanes * r // 2):
                 for _ in range(3):
                     y = 0
-                    for i, supp in enumerate(supports):
+                    for i, supp in enumerate(plan.h_t_supports):
                         flips = sample_fixed_weight(rng, lanes * r, max(pick(len(supp)), 0)).value
                         for lane in range(lanes):
                             y |= (flips >> lane * r & (1 << r) - 1) << lane * n + i * r
                     want = _block_dot(y, rows, r, blocks)
-                    assert _block_dot(y, rows, r, blocks, supports) == want
+                    assert _block_dot(y, plan.h_t_rows, r, blocks, plan.h_t_supports) == want
 
 
 def test_config_validation():
