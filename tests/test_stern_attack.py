@@ -216,35 +216,64 @@ def _reduced_tails(params, keys, restarts):
             yield m[:, d:], window
 
 
+def _nested_loop_hits(tail, window, budget):
+    """What ``_hits`` returns, from every (left pair, right pair) sum of the
+    tail rows weighed one by one and put in the search's order."""
+    d = len(tail)
+    ints = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+            for row in tail]
+    mask = (1 << window) - 1
+    left = list(combinations(range(d // 2), 2))
+    right = list(combinations(range(d // 2, d), 2))
+    right_sums = [ints[k] ^ ints[l] for k, l in right]
+    first_seen = {}
+    expect = []
+    for a, (i, j) in enumerate(left):
+        left_sum = ints[i] ^ ints[j]
+        rank = first_seen.setdefault(left_sum & mask, a)
+        for b, right_sum in enumerate(right_sums):
+            acc = left_sum ^ right_sum
+            if acc & mask == 0 and acc.bit_count() <= budget:
+                expect.append((rank, a, b, (i, j) + right[b]))
+    return [hit for *_, hit in sorted(expect)]
+
+
 def test_hits_match_nested_loop_in_search_order(monkeypatch):
-    # every (left pair, right pair) sum, weighed one by one, at a loose
-    # target where a restart has hundreds of hits to put in order; the
-    # small chunk splits each join into dozens of runs
+    # a loose target, where a restart has hundreds of hits to put in order;
+    # the small chunk splits each join into dozens of runs
     d = LAB.n - LAB.k
     budget = 30 - 4
     pairs = _pair_tables(d)
-    left = list(combinations(range(d // 2), 2))
-    right = list(combinations(range(d // 2, d), 2))
     for tail, window in _reduced_tails(LAB, keys=3, restarts=1):
-        ints = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
-                for row in tail]
-        mask = (1 << window) - 1
-        right_sums = [ints[k] ^ ints[l] for k, l in right]
-        first_seen = {}
-        expect = []
-        for a, (i, j) in enumerate(left):
-            left_sum = ints[i] ^ ints[j]
-            rank = first_seen.setdefault(left_sum & mask, a)
-            for b, right_sum in enumerate(right_sums):
-                acc = left_sum ^ right_sum
-                if acc & mask == 0 and acc.bit_count() <= budget:
-                    expect.append((rank, a, b, (i, j) + right[b]))
-        expect = [hit for *_, hit in sorted(expect)]
+        expect = _nested_loop_hits(tail, window, budget)
         assert len(expect) > 100
         for chunk in (stern._JOIN_CHUNK, 1000):
             monkeypatch.setattr(stern, "_JOIN_CHUNK", chunk)
             got = [tuple(row) for row in _hits(tail, pairs, window, budget).tolist()]
             assert got == expect
+
+
+@pytest.mark.parametrize("window", [1, 8, 9, 16, 17])
+def test_hits_match_nested_loop_on_any_window(window, monkeypatch):
+    # uint8, uint16 and uint32 window keys, tail widths off the 8- and
+    # 64-bit grid, and one collision per chunk; the window columns are
+    # sparse, so even a 17-bit window sees collisions
+    monkeypatch.setattr(stern, "_JOIN_CHUNK", 1)
+    g = np.random.default_rng(0x5100 + window)
+    d = 20
+    pairs = _pair_tables(d)
+    for width in (37, 130):
+        tail = (g.random((d, width)) < 0.4).astype(np.uint8)
+        tail[:, :window] = g.random((d, window)) < 0.05
+        for budget in (-1, 0, width // 3, width):
+            got = _hits(tail, pairs, window, budget)
+            assert got.dtype == np.intp and got.shape[1:] == (4,)
+            expect = _nested_loop_hits(tail, window, budget)
+            assert [tuple(row) for row in got.tolist()] == expect
+            if budget < 1:
+                assert got.shape == (0, 4)
+            elif budget == width:
+                assert len(got) > 0
 
 
 def _searched_tails(params, keys, restarts, monkeypatch):
