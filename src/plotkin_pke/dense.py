@@ -3,11 +3,14 @@
 What the attack lab runs at desk scale: ``expand_block_matrix`` (with
 ``to_array``, ``circulant`` and ``expand_block`` under it) turns the
 systematic public generator into the array that ``attack`` hands to Stern,
-and ``pivot`` is the Gauss-Jordan step of ``stern``'s information-set
-reductions.  ``rref`` and ``systematic_form`` have no program caller but
-the perfbench probe ``dense.systematic_form_ms``; they stay until the
-benchmark drops that probe.  The dense oracle that tests check ``gf2``
-against (products, rank, inverse) lives in ``tests/oracle.py``.
+and ``pivot`` is the one elimination step: ``stern`` pivots with it each
+column that enters an information set, on a row that already has a one
+there, and ``rref`` searches for its pivot rows through it.  ``rref`` and
+``systematic_form`` have no program caller but the perfbench probe
+``dense.systematic_form_ms``; they stay until the benchmark drops that
+probe.  The dense oracle that tests check ``gf2`` against (products,
+rank, inverse), and the plain Gauss-Jordan that ``stern``'s first restart
+is checked against, live in ``tests/oracle.py``.
 """
 
 from __future__ import annotations
@@ -50,14 +53,15 @@ def pivot(m: np.ndarray, row: int, col: int) -> bool:
     ``row``, then clears ``col`` in every other row.  Returns False, with
     ``m`` untouched, when no such row exists.
     """
-    hits = np.flatnonzero(m[row:, col])
-    if hits.size == 0:
-        return False
-    src = row + hits[0]
-    if src != row:
+    if not m[row, col]:
+        hits = np.flatnonzero(m[row:, col])
+        if hits.size == 0:
+            return False
+        src = row + hits[0]
         m[[row, src]] = m[[src, row]]
-    others = np.flatnonzero(m[:, col])
-    m[others[others != row]] ^= m[row]
+    others = m[:, col].astype(bool)
+    others[row] = False
+    m[others] ^= m[row]
     return True
 
 

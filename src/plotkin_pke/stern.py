@@ -7,15 +7,21 @@ reduced rows into two halves, and meets pairs of rows (Stern's p = 2) from
 each half in the middle on an ell-bit window; colliding pairs whose combined
 row has total weight <= the target are returned as dual codewords.
 
-Restart 1 row-reduces H in full onto its permutation.  Later restarts are
-chained, as in Canteaut-Chabaud (IEEE-IT 1998) and Bernstein-Lange-Peters
-(PQCrypto 2008): they keep the previous [I_d | B] and swap only
-``_CHAIN_SWAPS`` columns into the information set, one pivot each, then sort
-the rows and tail columns by the new permutation so the halves and the
-window are drawn afresh.  The shuffle is a restart's only draw from the
-stream, so a search that ends on restart 1 finds what a search of full
-reductions finds.  Chained restarts keep the expected hits per restart
-but cluster them, since neighbouring information sets overlap.
+Restart 1 starts from H's identity columns as its basis.  In permutation
+order it takes each information-set column already in the basis as it is
+and pivots in only the others, about d/2 of them at n0 = 2, each on the
+free row whose basis column comes last in the permutation; the result is
+the [I_d | B] of a plain Gauss-Jordan of the permuted H.  Later restarts
+are chained, as in Canteaut-Chabaud (IEEE-IT 1998) and Bernstein-Lange-
+Peters (PQCrypto 2008): they keep the previous reduction and pivot only
+``_CHAIN_SWAPS`` columns into the information set, by the same row rule.
+The reduction is held over H's own columns with the information column of
+each row, so no restart moves a column; each sorts the rows and the tail
+by its permutation, so the halves and the window are drawn afresh, and
+gathers the tail B for the join.  The shuffle is a restart's only draw
+from the stream, so a search that ends on restart 1 finds what a search
+of full reductions finds.  Chained restarts keep the expected hits per
+restart but cluster them, since neighbouring information sets overlap.
 
 The meet in the middle is one numpy join per restart, a counting sort on
 the window keys.  The reduced tails are packed into uint64 words, each
@@ -32,8 +38,9 @@ order.
 This is the runnable counterpart of the ``stern`` cost model in ``isd``:
 the estimators say how big the numbers get at cryptographic sizes, this
 module actually finds sparse parity rows at lab sizes (n of a few hundred
-to a few thousand).  At r = 101 on a 2-vCPU VM a full restart takes about
-2.1 ms and a chained one about 0.8 ms, of which the join is about 0.3 ms.
+to a few thousand).  At r = 101 on a 2-vCPU VM restart 1 takes about
+1.6-1.9 ms and a chained restart about 0.7-1.1 ms, of which the join is
+about 0.4-0.6 ms.
 """
 
 from __future__ import annotations
@@ -65,58 +72,73 @@ def _dual_generator(gen_sys: np.ndarray) -> np.ndarray:
 
 
 def _reduce_onto_information_set(
-    rows: np.ndarray, perm: list[int]
+    dual: np.ndarray, perm: list[int]
 ) -> tuple[np.ndarray, list[int]]:
-    """Gauss-Jordan the permuted rows, of full rank d, to [I_d | B]; columns
-    that fail to yield a pivot are swapped behind the information set.
+    """Row-reduce ``_dual_generator``'s [A^T | I_d] onto the first d columns
+    of ``perm`` that form an information set.
 
-    When column col yields no pivot, a tail column with a one in rows
-    col..d-1 always exists: those rows have rank d - col and are zero in
-    columns < col and in column col itself, so with a zero tail they would
-    fit in the d - col - 1 columns col+1..d-1.  ``_dual_generator``'s
-    [A^T | I] always has rank d.
+    Returns m over the dual's own columns, with row i reduced onto column
+    order[i], so m[:, order] is [I_d | B].  The identity columns are the
+    starting basis.  In ``perm`` order, a column in the basis is taken as it
+    is, and any other pivots in on the free row whose basis column comes
+    last in ``perm``.  A column in the span of those taken before it is zero
+    on every free row; the first tail column that is not takes its place,
+    and it takes the tail column's.  Such a column exists, since the free
+    rows are independent and zero on the taken columns.
     """
-    d, n = rows.shape
-    m = rows[:, perm].copy()
+    d, n = dual.shape
+    m = dual.copy()
+    place = np.empty(n, dtype=np.intp)
+    place[perm] = np.arange(n)
+    rank = place[n - d :] + 1  # 1 + place of each free row's basis column; 0 once taken
+    column = list(range(n - d, n))  # the basis column of each row
+    owner = dict(zip(column, range(d)))  # the free row of each basis column
+    taken = np.empty(d, dtype=np.intp)  # the row that column order[i] took
     order = list(perm)
-    for col in range(d):
-        if pivot(m, col, col):
-            continue
-        # pull in the first later column that has a one below the diagonal
-        swap = d + int(np.flatnonzero(m[col:, d:].any(axis=0))[0])
-        m[:, [col, swap]] = m[:, [swap, col]]
-        order[col], order[swap] = order[swap], order[col]
-        pivot(m, col, col)
-    return m, order
+    for i in range(d):
+        row = owner.get(order[i])
+        if row is None:
+            score = m[:, order[i]] * rank
+            if not score.any():  # order[i] is in the span of the columns taken
+                swap = d + int(np.flatnonzero(m[rank > 0][:, order[d:]].any(axis=0))[0])
+                order[i], order[swap] = order[swap], order[i]
+                row = owner.get(order[i])
+                score = m[:, order[i]] * rank
+        if row is None:
+            row = int(score.argmax())
+            pivot(m, row, order[i])
+        del owner[column[row]]
+        rank[row] = 0
+        taken[i] = row
+    return m[taken], order
 
 
 def _chain_information_set(
     m: np.ndarray, order: list[int], perm: list[int]
 ) -> tuple[np.ndarray, list[int]]:
-    """Move a reduced [I_d | B] over the columns ``order`` toward ``perm``.
+    """Move a reduction (m, order) of ``_reduce_onto_information_set``'s
+    form toward ``perm``.
 
     The ``_CHAIN_SWAPS`` tail columns that come first in ``perm`` enter the
     information set, each with one pivot on the row with a one there whose
     information column comes last in ``perm``.  Then the rows and the tail
-    columns are sorted by their place in ``perm``.  ``m`` and ``order`` are
-    updated in place on the way; the results are fresh.
+    of the order are sorted by their place in ``perm``.  ``m`` is updated
+    in place on the way; the results are fresh.
     """
     d, n = m.shape
     place = np.empty(n, dtype=np.intp)
     place[perm] = np.arange(n)
-    place = place[order]  # where each column of m falls in perm
-    for col in d + np.argsort(place[d:])[:_CHAIN_SWAPS]:
-        rows = np.flatnonzero(m[:, col])
+    cols = np.array(order)
+    for j in d + np.argsort(place[cols[d:]])[:_CHAIN_SWAPS]:
+        rows = np.flatnonzero(m[:, cols[j]])
         if rows.size == 0:
             continue  # a zero column cannot enter
-        row = int(rows[np.argmax(place[rows])])
-        pivot(m, row, col)
-        m[:, [row, col]] = m[:, [col, row]]
-        place[[row, col]] = place[[col, row]]
-        order[row], order[col] = order[col], order[row]
-    rows = np.argsort(place[:d])
-    cols = np.concatenate([rows, d + np.argsort(place[d:])])
-    return m[rows][:, cols], [order[j] for j in cols]
+        row = rows[np.argmax(place[cols[rows]])]
+        pivot(m, row, cols[j])
+        cols[[row, j]] = cols[[j, row]]
+    rows = np.argsort(place[cols[:d]])
+    tail = d + np.argsort(place[cols[d:]])
+    return m[rows], [*cols[rows].tolist(), *cols[tail].tolist()]
 
 
 def _pair_tables(d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -214,13 +236,10 @@ def stern_search(
         else:
             reduced = _chain_information_set(*reduced, perm)
         m, order = reduced
-        hits = _hits(m[:, d:], pairs, window, target_weight - 2 * P)
+        hits = _hits(m[:, order[d:]], pairs, window, target_weight - 2 * P)
         if len(hits):
-            rows = hits[0]
-            tail = np.bitwise_xor.reduce(m[rows, d:], axis=0)
-            support = [order[i] for i in rows]
-            support += [order[d + j] for j in np.flatnonzero(tail)]
-            found = BitVector.from_support(n, support)
+            word = np.bitwise_xor.reduce(m[hits[0]], axis=0)
+            found = BitVector.from_support(n, np.flatnonzero(word).tolist())
             return SternResult(found=found, iterations=iteration)
 
     return SternResult(found=None, iterations=max_iterations)

@@ -3,7 +3,8 @@
 A deliberately separate second route to the same objects as the package:
 dense matrices are explicit 0/1 ``uint8`` arrays whose products are integer
 matrix multiplications reduced mod 2, with no code shared with the packed
-polynomial representation of ``gf2``; uniform draws take one candidate per
+polynomial representation of ``gf2``; Stern's first reduction is a plain
+Gauss-Jordan of the permuted dual, pivot by pivot; uniform draws take one candidate per
 ``take_bits`` call; and the SHAKE-256 stream is read straight from
 ``hashlib``, with no buffer shared with ``RandomStream``.
 """
@@ -14,7 +15,7 @@ import hashlib
 
 import numpy as np
 
-from plotkin_pke.dense import rref
+from plotkin_pke.dense import pivot, rref
 from plotkin_pke.gf2 import BitVector
 from plotkin_pke.rng import RandomStream
 
@@ -54,6 +55,32 @@ def inverse(a: np.ndarray) -> np.ndarray:
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular over GF(2)")
     return red[:, n:]
+
+
+def reduce_onto_information_set(
+    rows: np.ndarray, perm: list[int]
+) -> tuple[np.ndarray, list[int]]:
+    """Gauss-Jordan the permuted rows, of full rank d, to [I_d | B]; columns
+    that fail to yield a pivot are swapped behind the information set.
+
+    When column col yields no pivot, a tail column with a one in rows
+    col..d-1 always exists: those rows have rank d - col and are zero in
+    columns < col and in column col itself, so with a zero tail they would
+    fit in the d - col - 1 columns col+1..d-1.  ``_dual_generator``'s
+    [A^T | I] always has rank d.
+    """
+    d, n = rows.shape
+    m = rows[:, perm].copy()
+    order = list(perm)
+    for col in range(d):
+        if pivot(m, col, col):
+            continue
+        # pull in the first later column that has a one below the diagonal
+        swap = d + int(np.flatnonzero(m[col:, d:].any(axis=0))[0])
+        m[:, [col, swap]] = m[:, [swap, col]]
+        order[col], order[swap] = order[swap], order[col]
+        pivot(m, col, col)
+    return m, order
 
 
 # --- random streams -----------------------------------------------------------

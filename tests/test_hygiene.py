@@ -1,7 +1,8 @@
 """Source hygiene: no module imports a name it never uses, no private
 module-level name of the package goes unread, no public one, nor any public
 method or property of a package class, is read by tests alone, only a known
-few are read by perfbench alone, and importing the CLI loads no scipy."""
+few are read by perfbench alone, every public name of the test oracle is
+read by some test module, and importing the CLI loads no scipy."""
 
 import ast
 import subprocess
@@ -216,6 +217,31 @@ def test_perfbench_alone_keeps_only_known_names():
     found = unread_public(_sources(PACKAGE), _sources("src", "scripts"))
     assert {f"{path.stem}.{name}" for path, _, name in found} == {
         "bitflip.upc_profile", "dense.systematic_form", "qc.encode"}
+
+
+def unread_oracle(oracle: str, tests: list[str]) -> list[tuple[int, str]]:
+    """(line, name) for each public module-level name of the test oracle
+    source ``oracle`` that neither the oracle itself nor any of ``tests``
+    reads."""
+    reads = set().union(*(_reads(ast.parse(source)) for source in tests))
+    return dead_names(oracle, reads, private=False)
+
+
+def test_unread_oracle_names_detected():
+    oracle = (
+        "def rank(a):\n    return a\n"
+        "def inverse(a):\n    return rank(a)\n"
+        "def retired(a):\n    return a\n"
+        "def _helper(a):\n    return a\n"
+    )
+    tests = ["import oracle\nassert oracle.inverse(1)\n", "def test_x():\n    retired = 2\n"]
+    assert unread_oracle(oracle, tests) == [(5, "retired")]
+
+
+def test_no_oracle_names_tests_leave_unread():
+    tests = [path.read_text() for path in sorted((ROOT / "tests").glob("*.py"))
+             if path.name != "oracle.py"]
+    assert unread_oracle((ROOT / "tests/oracle.py").read_text(), tests) == []
 
 
 def test_cli_import_loads_no_scipy():

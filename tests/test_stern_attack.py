@@ -105,25 +105,122 @@ def test_eliminations_match_row_space_oracle():
             assert red[:, col].tolist() == [int(j == i) for j in range(rows)]
         assert not red[len(pivots):].any()
         assert _row_space(red) == _row_space(a)
-        if len(pivots) < rows:
-            continue  # a Stern dual always has full row rank
 
-        perm = [int(j) for j in g.permutation(cols)]
-        m, order = _reduce_onto_information_set(a, perm)
-        assert sorted(order) == list(range(cols))
-        assert (m[:, :rows] == np.eye(rows, dtype=np.uint8)).all()
-        assert _row_space(m) == _row_space(a[:, order])
+        # Stern reduces _dual_generator's [A^T | I], of full row rank
+        dual = np.concatenate([a, np.eye(rows, dtype=np.uint8)], axis=1)
+        perm = [int(j) for j in g.permutation(cols + rows)]
+        m, order = _reduce_onto_information_set(dual, perm)
+        assert sorted(order) == list(range(cols + rows))
+        assert (m[:, order[:rows]] == np.eye(rows, dtype=np.uint8)).all()
+        assert _row_space(m) == _row_space(dual)
 
 
-def test_chained_restarts_match_row_space_oracle(make_rng):
-    # after every chained restart m is still [I_d | B] over a column order
-    # whose dual rows it spans; rows and tail columns follow the drawn
-    # permutation and at most _CHAIN_SWAPS columns enter the information set
-    duals = []
-    for i in range(2):
-        rng = substream(b"\x7b" * 32, i)
-        pk, _ = keygen(LAB, rng)
-        duals.append((_dual_generator(systematic_public_generator(pk)), rng))
+def _lab_duals(params, keys, tag):
+    for i in range(keys):
+        rng = substream(tag * 32, i)
+        pk, _ = keygen(params, rng)
+        yield _dual_generator(systematic_public_generator(pk)), rng
+
+
+def _degenerate_lab_dual():
+    """The dual of the degenerate attack-lab key (perfbench seed 1, demo
+    10): its ldpc block row has h0 = x^67 h1, so A^T is a permutation."""
+    master = hashlib.sha256(b"perfbench/attack-lab/1").digest()
+    seed = hashlib.sha256(master + b"demo" + (10).to_bytes(8, "little")).digest()
+    pk, _ = keygen(LAB, substream(seed, 0))
+    dual = _dual_generator(systematic_public_generator(pk))
+    assert (dual[:, :LAB.r].sum(axis=0) == 1).all()
+    return dual
+
+
+def _dependent_duals(count):
+    """Seeded small [X | I] duals whose X has low rank, so that many
+    information-set columns lie in the span of those before them."""
+    g = np.random.default_rng(0xD3)
+    for _ in range(count):
+        d, k, rank = g.integers(3, 9), g.integers(2, 12), g.integers(1, 3)
+        x = (g.integers(0, 2, size=(d, rank)) @ g.integers(0, 2, size=(rank, k))) & 1
+        yield np.concatenate([x.astype(np.uint8), np.eye(d, dtype=np.uint8)], axis=1)
+
+
+def _pivot_spy(monkeypatch):
+    """Record each elimination step stern makes as (row, column)."""
+    steps = []
+
+    def spy(m, row, col):
+        steps.append((row, int(col)))
+        return dense.pivot(m, row, col)
+
+    monkeypatch.setattr(stern, "pivot", spy)
+    return steps
+
+
+def test_restart_one_matches_gauss_jordan_oracle(make_rng, monkeypatch):
+    # restart 1 starts from the dual's identity columns, yet returns the
+    # [I_d | B] and the column order of a plain Gauss-Jordan bit for bit
+    steps = _pivot_spy(monkeypatch)
+    replaced = {"pivot": 0, "identity": 0}
+    duals = [(dual, 10) for dual, _ in _lab_duals(LAB, 3, b"\x7d")]
+    duals.append((_degenerate_lab_dual(), 10))
+    duals += [(dual, 2) for dual, _ in _lab_duals(SchemeParams(2, 211, 14, 6, 4, 4), 1, b"\x7e")]
+    duals.append((_dual_generator(_planted_instance(make_rng(0x5e))[0]), 10))
+    duals += [(dual, 6) for dual in _dependent_duals(80)]
+    rng = substream(b"\x7c" * 32, 0)
+    for dual, perms in duals:
+        d, n = dual.shape
+        for _ in range(perms):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            steps.clear()
+            m, order = _reduce_onto_information_set(dual, perm)
+            expect, expect_order = oracle.reduce_onto_information_set(dual, perm)
+            assert order == expect_order
+            assert (m[:, order] == expect).all()
+            pivoted = {col for _, col in steps}
+            for col in set(order[:d]) - set(perm[:d]):  # a tail column took a head place
+                replaced["pivot" if col in pivoted else "identity"] += 1
+    # both kinds of replacement happen: a tail column that pivots in, and
+    # an identity column still in the basis that is taken as it is
+    assert replaced["pivot"] > 0 and replaced["identity"] > 0
+
+
+def test_restart_one_pivots_only_entering_columns(monkeypatch):
+    # no elimination step when perm puts the identity columns first, and
+    # otherwise one per information column that enters from outside the
+    # current basis
+    steps = _pivot_spy(monkeypatch)
+    cases = [(dual, rng) for dual, rng in _lab_duals(LAB, 2, b"\x7f")]
+    cases.append((_degenerate_lab_dual(), substream(b"\x7f" * 32, 9)))
+    for dual, rng in cases:
+        d, n = dual.shape
+        k = n - d
+        identity = list(range(k, n))
+        rng.shuffle(identity)
+        rest = list(range(k))
+        rng.shuffle(rest)
+        steps.clear()
+        m, order = _reduce_onto_information_set(dual, identity + rest)
+        assert steps == [] and order == identity + rest
+        assert (m == dual[[c - k for c in identity]]).all()  # the dual's rows, sorted
+        for _ in range(5):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            steps.clear()
+            m, order = _reduce_onto_information_set(dual, perm)
+            basis = list(range(k, n))  # row i starts reduced onto identity column k + i
+            for row, col in steps:
+                assert col not in basis
+                basis[row] = col
+            assert len(steps) > 0 and sorted(basis) == sorted(order[:d])
+
+
+def test_chained_restarts_match_row_space_oracle(make_rng, monkeypatch):
+    # after every chained restart m is still reduced onto the information
+    # columns of its order, over the dual's own columns, and spans the dual
+    # rows; rows and tail columns follow the drawn permutation and at most
+    # _CHAIN_SWAPS columns enter the information set, one step each
+    steps = _pivot_spy(monkeypatch)
+    duals = list(_lab_duals(LAB, 2, b"\x7b"))
     rng = make_rng(0x5c)
     duals.append((_dual_generator(_planted_instance(rng)[0]), rng))
     for dual, rng in duals:
@@ -135,13 +232,15 @@ def test_chained_restarts_match_row_space_oracle(make_rng):
             perm = list(range(n))
             rng.shuffle(perm)
             before = set(order[:d])
+            steps.clear()
             m, order = _chain_information_set(m, order, perm)
-            assert (m[:, :d] == np.eye(d, dtype=np.uint8)).all()
+            assert (m[:, order[:d]] == np.eye(d, dtype=np.uint8)).all()
             assert sorted(order) == list(range(n))
-            assert oracle.rank(np.concatenate([m, dual[:, order]])) == d
+            assert oracle.rank(np.concatenate([m, dual])) == d
             place = [perm.index(c) for c in order]
             assert place[:d] == sorted(place[:d]) and place[d:] == sorted(place[d:])
             assert 0 < len(set(order[:d]) - before) <= stern._CHAIN_SWAPS
+            assert len(steps) == len(set(order[:d]) - before)
 
 
 def test_one_full_reduction_per_search(make_rng, monkeypatch):
@@ -150,9 +249,9 @@ def test_one_full_reduction_per_search(make_rng, monkeypatch):
     calls = []
     reduce = stern._reduce_onto_information_set
 
-    def counting(rows, perm):
+    def counting(dual, perm):
         calls.append(perm)
-        return reduce(rows, perm)
+        return reduce(dual, perm)
 
     monkeypatch.setattr(stern, "_reduce_onto_information_set", counting)
     for restarts in (1, 6):
@@ -212,8 +311,8 @@ def _reduced_tails(params, keys, restarts):
         for _ in range(restarts):
             perm = list(range(params.n))
             rng.shuffle(perm)
-            m, _ = _reduce_onto_information_set(dual, perm)
-            yield m[:, d:], window
+            m, order = _reduce_onto_information_set(dual, perm)
+            yield m[:, order[d:]], window
 
 
 def _nested_loop_hits(tail, window, budget):
