@@ -224,15 +224,17 @@ def _xgcd(a: int, b: int) -> tuple[int, int]:
     by the degree gap, is XORed into the higher one, and likewise for the
     cofactors, so no quotient is built.  The pair swaps exactly when a long
     division would end, so u is the classical cofactor, of degree below
-    deg b - deg g when deg a < deg b.
+    deg b - deg g when deg a < deg b.  The bit lengths of the remainders
+    are carried along, so a step measures only the one it changed.
     """
     r0, u0, r1, u1 = a, 1, b, 0  # invariant: r_i = u_i a mod b
+    n0, n1 = a.bit_length(), b.bit_length()
     while r0:
-        if r0.bit_length() < r1.bit_length():
-            r0, u0, r1, u1 = r1, u1, r0, u0
-        shift = r0.bit_length() - r1.bit_length()
-        r0 ^= r1 << shift
-        u0 ^= u1 << shift
+        if n0 < n1:
+            r0, u0, n0, r1, u1, n1 = r1, u1, n1, r0, u0, n0
+        r0 ^= r1 << (n0 - n1)
+        u0 ^= u1 << (n0 - n1)
+        n0 = r0.bit_length()
     return r1, u1
 
 

@@ -4,7 +4,8 @@ A deliberately separate second route to the same objects as the package:
 dense matrices are explicit 0/1 ``uint8`` arrays whose products are integer
 matrix multiplications reduced mod 2, with no code shared with the packed
 polynomial representation of ``gf2``; Stern's first reduction is a plain
-Gauss-Jordan of the permuted dual, pivot by pivot; uniform draws take one candidate per
+Gauss-Jordan of the permuted dual, pivot by pivot; Euclid on GF(2)[x] reads
+each degree afresh from its remainder; uniform draws take one candidate per
 ``take_bits`` call; and the SHAKE-256 stream is read straight from
 ``hashlib``, with no buffer shared with ``RandomStream``.
 """
@@ -81,6 +82,22 @@ def reduce_onto_information_set(
         order[col], order[swap] = order[swap], order[col]
         pivot(m, col, col)
     return m, order
+
+
+# --- polynomials over GF(2) ---------------------------------------------------
+
+
+def xgcd(a: int, b: int) -> tuple[int, int]:
+    """(g, u) with g = gcd(a(x), b(x)) and u a = g mod b, for b != 0: Euclid
+    one leading term per step, each degree read afresh from the remainders."""
+    r0, u0, r1, u1 = a, 1, b, 0  # invariant: r_i = u_i a mod b
+    while r0:
+        if r0.bit_length() < r1.bit_length():
+            r0, u0, r1, u1 = r1, u1, r0, u0
+        shift = r0.bit_length() - r1.bit_length()
+        r0 ^= r1 << shift
+        u0 ^= u1 << shift
+    return r1, u1
 
 
 # --- random streams -----------------------------------------------------------

@@ -284,6 +284,27 @@ def test_block_inverse_round_trip(rng):
         assert odd_singular > 0
 
 
+def test_xgcd_matches_oracle():
+    # random pairs, pairs with a common factor, a = 0, and rows against the
+    # x^r - 1 moduli that inversion uses, odd and even weight
+    g = np.random.default_rng(0x6C)
+    cases = [(0, 1), (0, 0b1011), (1, 1), (0b110, 0b11), (0b101, 0b101)]
+    for _ in range(400):
+        a, b, f = (int.from_bytes(g.bytes(size), "little") for size in g.integers(1, 40, 3))
+        b, f = b | 1, f | 1
+        cases += [(a, b), (b, a | 1), (gf2._mul(a, f), gf2._mul(b, f)), (0, b)]
+    for r in (101, 523, 11779):
+        for weight in (6, 7, 71):
+            row = sample_fixed_weight(RandomStream(bytes([weight]) * 32), r, weight)
+            cases.append((row.value, (1 << r) | 1))
+    common = 0
+    for a, b in cases:
+        got = gf2._xgcd(a, b)
+        assert got == oracle.xgcd(a, b)
+        common += got[0] != 1
+    assert common > len(cases) // 4
+
+
 def test_even_weight_never_invertible(rng):
     # even-weight rows share the root x=1 with x^r - 1
     for _ in range(20):

@@ -354,17 +354,18 @@ def test_hits_match_nested_loop_in_search_order(monkeypatch):
 
 @pytest.mark.parametrize("window", [1, 8, 9, 16, 17])
 def test_hits_match_nested_loop_on_any_window(window, monkeypatch):
-    # uint8, uint16 and uint32 window keys, tail widths off the 8- and
-    # 64-bit grid, and one collision per chunk; the window columns are
-    # sparse, so even a 17-bit window sees collisions
+    # uint8, uint16 and uint32 window keys, tail widths on and off the 8-
+    # and 64-bit grid, and one collision per chunk; the window columns are
+    # sparse, so even a 17-bit window sees collisions; budgets 1 and 2 are
+    # the lab's w2 - 2p, where the first word alone rules out most pairs
     monkeypatch.setattr(stern, "_JOIN_CHUNK", 1)
     g = np.random.default_rng(0x5100 + window)
     d = 20
     pairs = _pair_tables(d)
-    for width in (37, 130):
+    for width in (37, 64, 65, 128, 130):
         tail = (g.random((d, width)) < 0.4).astype(np.uint8)
         tail[:, :window] = g.random((d, window)) < 0.05
-        for budget in (-1, 0, width // 3, width):
+        for budget in (-1, 0, 1, 2, width // 3, width):
             got = _hits(tail, pairs, window, budget)
             assert got.dtype == np.intp and got.shape[1:] == (4,)
             expect = _nested_loop_hits(tail, window, budget)
@@ -373,6 +374,54 @@ def test_hits_match_nested_loop_on_any_window(window, monkeypatch):
                 assert got.shape == (0, 4)
             elif budget == width:
                 assert len(got) > 0
+
+
+def _planted_tail(g, width, budget, columns, front):
+    """A 12-row tail with a 4-bit window on which every row is zero, so all
+    225 pair sums collide, and whose rows 0, 1, 6 and 7 sum to a word of
+    weight ``budget`` on ``columns``; the other columns of word 0 have
+    density ``front``, the later ones 0.3."""
+    d, window = 12, 4
+    tail = (g.random((d, width)) < 0.3).astype(np.uint8)
+    tail[:, :64] = g.random((d, min(width, 64))) < front
+    tail[:, :window] = 0
+    plant = np.zeros(width, dtype=np.uint8)
+    plant[g.choice(columns, budget, replace=False)] = 1
+    tail[7] = tail[0] ^ tail[1] ^ tail[6] ^ plant
+    return tail, window
+
+
+def _permutation_tail(g, d, width, window):
+    """A tail whose rows are distinct unit vectors outside the window, the
+    shape of a degenerate key's: every pair sum collides on key 0, and
+    every (left pair, right pair) sum weighs exactly 4."""
+    tail = np.zeros((d, width), dtype=np.uint8)
+    tail[np.arange(d), g.choice(np.arange(window, width), d, replace=False)] = 1
+    return tail
+
+
+def test_hits_first_word_filter_on_planted_tails(monkeypatch):
+    # the join rules a pair out on its first 64 tail bits and weighs the
+    # rest only for the pairs that word keeps within budget: a hit of
+    # exactly the budget in word 0, a hit wholly past column 63 among
+    # pairs light in word 0, and tails where every sum collides
+    for chunk in (1, stern._JOIN_CHUNK):
+        monkeypatch.setattr(stern, "_JOIN_CHUNK", chunk)
+        g = np.random.default_rng(0x5200)
+        pairs = _pair_tables(12)
+        for width, columns, front in ((130, range(4, 64), 0.3), (128, range(64, 128), 0.02)):
+            for budget in (1, 2, 3, 5):
+                tail, window = _planted_tail(g, width, budget, columns, front)
+                got = [tuple(row) for row in _hits(tail, pairs, window, budget).tolist()]
+                assert (0, 1, 6, 7) in got
+                assert got == _nested_loop_hits(tail, window, budget)
+        pairs = _pair_tables(20)
+        for width in (48, 84, 130):
+            tail = _permutation_tail(g, 20, width, 5)
+            for budget in (2, 3, 4):
+                got = [tuple(row) for row in _hits(tail, pairs, 5, budget).tolist()]
+                assert got == _nested_loop_hits(tail, 5, budget)
+                assert len(got) == (45 * 45 if budget == 4 else 0)
 
 
 def _searched_tails(params, keys, restarts, monkeypatch):
