@@ -3,19 +3,19 @@
 error weights.  Emits one JSON line per weight so the output pipes straight
 into jq or a plotting script.
 
-The decoder is the variant's own stage decoder, majority threshold and
-its iteration cap included (50 for classic-bf, 100 for backflip), unless
---max-iters overrides the cap.
+The decoder is the one decrypt runs at that flavor's stage, iteration cap
+included: ``scheme.STAGE_DECODERS[flavor]``.
 
 Example: reproduce the toy mdpc waterfall.
 
     python3 scripts/dfr_sweep.py --r 523 --w 30 --flavor mdpc \
-        --variant backflip --t-max 24 --trials 1000
+        --t-max 24 --trials 1000
 """
 
 import argparse
 
-from plotkin_pke import QcParams, backflip_config, classic_bf_config, estimate_dfr, substream
+from plotkin_pke import QcParams, estimate_dfr, substream
+from plotkin_pke.scheme import STAGE_DECODERS
 
 
 def main() -> int:
@@ -24,8 +24,6 @@ def main() -> int:
     parser.add_argument("--r", type=int, required=True, help="circulant size")
     parser.add_argument("--w", type=int, required=True, help="parity row weight")
     parser.add_argument("--flavor", choices=("mdpc", "ldpc"), required=True)
-    parser.add_argument("--variant", choices=("classic-bf", "backflip"), default="classic-bf")
-    parser.add_argument("--max-iters", type=int, help="iteration cap (default: the variant's own)")
     parser.add_argument("--t-min", type=int, default=1)
     parser.add_argument("--t-max", type=int, required=True)
     parser.add_argument("--t-step", type=int, default=1)
@@ -44,8 +42,7 @@ def main() -> int:
         params = QcParams(n0=args.n0, r=args.r, w=args.w, flavor=args.flavor)
         if args.t_max > params.n:  # checked before the sweep spends trials on smaller t
             parser.error(f"--t-max exceeds the code length n = {params.n}")
-        config = backflip_config if args.variant == "backflip" else classic_bf_config
-        cfg = config() if args.max_iters is None else config(max_iters=args.max_iters)
+        cfg = STAGE_DECODERS[args.flavor]
         seed = bytes.fromhex(args.seed)
         for t in range(args.t_min, args.t_max + 1, args.t_step):
             # Fresh stream per weight: reordering or truncating the sweep must not

@@ -26,7 +26,7 @@ from .attack import recover_dual_structure, weak_key_attack_demo
 from .bitflip import estimate_dfr, select_t_for_dfr
 from .gf2 import BitVector
 from .isd import ALGORITHMS, isd_cost, work_factor
-from .presets import PRESETS, preset
+from .presets import LAB, PRESETS, preset
 from .qc import GenerationError
 from .rng import RandomStream, substream
 from .scheme import (
@@ -213,7 +213,7 @@ def _cmd_attack_demo(args) -> int:
         if value < 0:
             raise ValueError(f"{flag} must be nonnegative")
     params = SchemeParams(
-        n0=2, r=args.r, w1=args.w1, w2=args.w2, t1=args.t1, t2=args.t2
+        n0=LAB.n0, r=args.r, w1=args.w1, w2=args.w2, t1=args.t1, t2=args.t2
     )
     rng = RandomStream(_parse_seed(args.seed))
     pk, _ = keygen(params, substream(rng.seed, 0))
@@ -290,11 +290,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("attack-demo", help="structure recovery on a desk-size key")
-    p.add_argument("--r", type=int, default=101)
-    p.add_argument("--w1", type=int, default=14)
-    p.add_argument("--w2", type=int, default=6)
-    p.add_argument("--t1", type=int, default=4)
-    p.add_argument("--t2", type=int, default=4)
+    p.add_argument("--r", type=int, default=LAB.r)
+    p.add_argument("--w1", type=int, default=LAB.w1)
+    p.add_argument("--w2", type=int, default=LAB.w2)
+    p.add_argument("--t1", type=int, default=LAB.t1)
+    p.add_argument("--t2", type=int, default=LAB.t2)
     p.add_argument("--samples", type=int, default=3)
     p.add_argument("--stern-iterations", type=int, default=500)
     p.add_argument("--seed", default=None)

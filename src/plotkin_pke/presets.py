@@ -9,11 +9,15 @@ Both coordinates are decoded independently, so the second error weight
 defaults to the first.
 
 The toy preset is for tests and demos: r=523 decodes in milliseconds.
-Its error weights were derived by running ``select_t_for_dfr`` per
-coordinate (target DFR 1e-2, budget 2000 trials) with the seed recorded
-below, and are re-derivable via scripts/derive_toy_error_weights.py.
-The one-step majority decoder is brittle on a column-weight-3 block,
-so the ldpc coordinate only supports a single error at this size.
+Its error weights were selected per coordinate, under that stage's
+decoder, by ``plotkin-pke dfr --preset toy --coordinate {1,2} --target
+1e-2 --budget 2000`` with the seed recorded below; rerunning it
+re-derives them.  The one-step majority decoder is brittle on a
+column-weight-3 block, so the ldpc coordinate only supports a single
+error at this size.
+
+LAB, the attack lab's desk-size set, stays outside PRESETS and so out of
+the work-factor table.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from .scheme import SchemeParams
 # seed bytes.fromhex("0a" * 32), target 1e-2, budget 2000:
 #   mdpc coordinate (r=523, w=30, backflip)    -> t = 18
 #   ldpc coordinate (r=523, w=8, classic-bf)   -> t = 1
-TOY_SELECTION_SEED = "0a" * 32
 TOY_T1 = 18
 TOY_T2 = 1
 
@@ -36,6 +39,8 @@ PRESETS: dict[str, SchemeParams] = {
     "cpa256": SchemeParams(n0=2, r=32749, w1=274, w2=15, t1=264, t2=264),
     "cca256": SchemeParams(n0=2, r=40597, w1=274, w2=15, t1=264, t2=264),
 }
+
+LAB = SchemeParams(n0=2, r=101, w1=14, w2=6, t1=4, t2=4)
 
 
 def preset(name: str) -> SchemeParams:

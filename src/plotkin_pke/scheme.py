@@ -145,12 +145,19 @@ class DecryptionFailure(Exception):
         self.stage = stage
 
 
+# The decoder each stage runs, by flavor: decrypt, the lab and the DFR tools all read it here.
+STAGE_DECODERS: dict[str, DecoderConfig] = {
+    "mdpc": backflip_config(),
+    "ldpc": classic_bf_config(),
+}
+
+
 def mdpc_decoder_config(params: SchemeParams) -> DecoderConfig:
-    return backflip_config()
+    return STAGE_DECODERS["mdpc"]
 
 
 def ldpc_decoder_config(params: SchemeParams) -> DecoderConfig:
-    return classic_bf_config(threshold="majority")
+    return STAGE_DECODERS["ldpc"]
 
 
 def _scrambler_band(weight: int, r: int) -> bool:

@@ -89,27 +89,25 @@ def _reduce_onto_information_set(
     rows are independent and zero on the taken columns.
     """
     d, n = dual.shape
+    base = n - d  # row j's basis column is base + j until the row is taken
     m = dual.copy()
     place = np.empty(n, dtype=np.intp)
     place[perm] = np.arange(n)
-    rank = place[n - d :] + 1  # 1 + place of each free row's basis column; 0 once taken
-    column = list(range(n - d, n))  # the basis column of each row
-    owner = dict(zip(column, range(d)))  # the free row of each basis column
+    rank = place[base:] + 1  # 1 + place of each free row's basis column; 0 once taken
     taken = np.empty(d, dtype=np.intp)  # the row that column order[i] took
     order = list(perm)
     for i in range(d):
-        row = owner.get(order[i])
-        if row is None:
+        row = order[i] - base
+        if row < 0 or not rank[row]:  # order[i] is no free row's basis column
             score = m[:, order[i]] * rank
             if not score.any():  # order[i] is in the span of the columns taken
                 swap = d + int(np.flatnonzero(m[rank > 0][:, order[d:]].any(axis=0))[0])
                 order[i], order[swap] = order[swap], order[i]
-                row = owner.get(order[i])
+                row = order[i] - base
                 score = m[:, order[i]] * rank
-        if row is None:
-            row = int(score.argmax())
-            pivot(m, row, order[i])
-        del owner[column[row]]
+            if row < 0 or not rank[row]:
+                row = int(score.argmax())
+                pivot(m, row, order[i])
         rank[row] = 0
         taken[i] = row
     return m[taken], order

@@ -25,6 +25,7 @@ from plotkin_pke.gf2 import (
     sample_fixed_weight,
 )
 from plotkin_pke.isd import msgrec_workfactor
+from plotkin_pke.presets import LAB
 from plotkin_pke.qc import QcParams, derive_generator, encode, sample_parity_check, syndrome
 from plotkin_pke.rng import RandomStream, substream
 from plotkin_pke.scheme import (
@@ -139,29 +140,28 @@ def test_criterion_4_message_recovery_workfactors():
 
 
 def test_criterion_5_structure_recovery_fast_but_useless():
-    lab = SchemeParams(2, 101, 14, 6, 4, 4)
     times = []
     recovered = None
     pk = None
     for i in range(10):
         rng = substream(b"\x05" * 32, i)
-        pk_i, _ = keygen(lab, rng)
+        pk_i, _ = keygen(LAB, rng)
         t0 = time.time()
         rec = recover_dual_structure(pk_i, rng, max_iterations=2000)
         times.append(time.time() - t0)
         assert rec is not None
-        assert rec.row.weight <= lab.w2
+        assert rec.row.weight <= LAB.w2
         recovered, pk = rec, pk_i
     times.sort()
     median = times[5]
     assert median < 60
 
-    n = lab.n
+    n = LAB.n
     ct_rng = substream(b"\x05" * 32, 1000)
     in_band = 0
     not_recovered = 0
     for _ in range(100):
-        m = BitVector(lab.plaintext_bits, ct_rng.take_bits(lab.plaintext_bits))
+        m = BitVector(LAB.plaintext_bits, ct_rng.take_bits(LAB.plaintext_bits))
         ct = encrypt(pk, m, ct_rng)
         report = weak_key_attack_demo(pk, ct, m, ct_rng, recovered=recovered)
         if 0.4 * n <= report.residual_weight <= 0.6 * n:

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from plotkin_pke import attack, cli
+from plotkin_pke.bitflip import SelectionError
 from plotkin_pke.cli import main
+from plotkin_pke.presets import LAB, TOY_T1, TOY_T2
 from plotkin_pke.stern import SternResult
 from plotkin_pke.wire import HEADER_BYTES
 
@@ -299,6 +301,45 @@ def test_dfr_select_requires_budget(capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("coordinate, pinned", [("1", TOY_T1), ("2", TOY_T2)])
+def test_dfr_select_rederives_toy_weights(capsys, coordinate, pinned):
+    # the toy preset's error weights are what selection mode picks with the
+    # seed, target and budget recorded in presets
+    code, out, _ = _run(capsys, [
+        "dfr", "--preset", "toy", "--coordinate", coordinate,
+        "--target", "1e-2", "--budget", "2000", "--seed", "0a" * 32,
+    ])
+    assert code == 0
+    assert json.loads(out)["selectedT"] == pinned
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--target", "0", "--budget", "2000", "--seed", SEED_A], "target"),
+    (["--target", "2", "--budget", "2000", "--seed", SEED_A], "target"),
+    (["--target", "1e-2", "--budget", "999", "--seed", SEED_A], "budget"),
+    (["--target", "1e-2", "--budget", "2000", "--seed", "zz"], "--seed"),
+    (["--target", "1e-2", "--budget", "2000", "--seed", "00"], "--seed"),
+])
+def test_dfr_select_refuses_bad_flags(capsys, flags, named):
+    code, out, err = _run(capsys, ["dfr", "--preset", "toy", *flags])
+    assert code == 2
+    assert out == "" and named in err
+
+
+def test_dfr_select_reports_infeasible_target(capsys, monkeypatch):
+    # a real infeasible selection (--target 1e-3 --budget 10000) takes tens
+    # of seconds, so the selection is made to fail at once
+    def infeasible(params, target, budget, cfg, rng):
+        raise SelectionError(f"no error weight t >= 1 meets target {target:g}")
+
+    monkeypatch.setattr(cli, "select_t_for_dfr", infeasible)
+    code, out, err = _run(capsys, [
+        "dfr", "--preset", "toy", "--target", "1e-3", "--budget", "10000", "--seed", SEED_A,
+    ])
+    assert code == 2
+    assert out == "" and "meets target 0.001" in err
+
+
 @pytest.mark.parametrize("flags, named", [
     (["--budget", "100", "--trials", "2"], "--budget"),
     (["--target", "0.5", "--budget", "20", "--t", "3"], "--t does not apply"),
@@ -341,7 +382,7 @@ def test_attack_demo_json(capsys):
     assert code == 0
     record = json.loads(out)
     assert record["rowFound"] is True
-    assert record["recoveredRowWeight"] == 6
+    assert record["recoveredRowWeight"] == LAB.w2
     assert len(record["samples"]) == 2
     assert record["anyPlaintextRecovered"] is False
     for sample in record["samples"]:

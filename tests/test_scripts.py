@@ -1,5 +1,6 @@
 """Smoke tests: each documented script runs end to end with tiny arguments."""
 
+import hashlib
 import importlib.util
 import json
 import sys
@@ -7,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from plotkin_pke.bitflip import backflip_config, classic_bf_config
+from plotkin_pke.scheme import SchemeParams, ldpc_decoder_config, mdpc_decoder_config
 
+DESK = SchemeParams(2, 13, 5, 3, 1, 1)  # test_dfr_sweep runs on its two codes
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -27,8 +29,8 @@ def _run_script(name, args, monkeypatch, capsys, module=None):
 
 
 def test_dfr_sweep(monkeypatch, capsys):
-    # the decoder handed to estimate_dfr is the variant's stage decoder,
-    # iteration cap included, unless --max-iters overrides it
+    # the decoder handed to estimate_dfr is the one decrypt runs at the
+    # flavor's stage, iteration cap included
     module = _load_script("dfr_sweep")
     configs = []
     estimate = module.estimate_dfr
@@ -38,19 +40,28 @@ def test_dfr_sweep(monkeypatch, capsys):
         return estimate(params, t, cfg, **kw)
 
     monkeypatch.setattr(module, "estimate_dfr", recording)
-    args = ["--r", "13", "--w", "5", "--flavor", "mdpc", "--t-max", "2", "--trials", "3"]
-    out = _run_script("dfr_sweep", args, monkeypatch, capsys, module)
-    records = [json.loads(line) for line in out.splitlines()]
-    assert [rec["t"] for rec in records] == [1, 2]
-    assert all(rec["trials"] == 3 for rec in records)
-    assert configs == [classic_bf_config()] * 2
-    configs.clear()
-    _run_script("dfr_sweep", [*args, "--variant", "backflip"], monkeypatch, capsys, module)
-    assert configs == [backflip_config()] * 2
-    configs.clear()
-    _run_script("dfr_sweep", [*args, "--variant", "backflip", "--max-iters", "7"],
-                monkeypatch, capsys, module)
-    assert configs == [backflip_config(max_iters=7)] * 2
+    for flavor, w, stage_decoder in (("mdpc", "5", mdpc_decoder_config),
+                                     ("ldpc", "3", ldpc_decoder_config)):
+        configs.clear()
+        out = _run_script("dfr_sweep", ["--r", "13", "--w", w, "--flavor", flavor,
+                                        "--t-max", "2", "--trials", "3"],
+                          monkeypatch, capsys, module)
+        records = [json.loads(line) for line in out.splitlines()]
+        assert [rec["t"] for rec in records] == [1, 2]
+        assert all(rec["trials"] == 3 for rec in records)
+        assert configs == [stage_decoder(DESK)] * 2
+
+
+def test_dfr_sweep_waterfall_known_answer(monkeypatch, capsys):
+    # the README's toy mdpc waterfall, cut short and pinned byte for byte:
+    # backflip, the mdpc stage decoder, fails 3, 3 and 9 of 12
+    out = _run_script("dfr_sweep", [
+        "--r", "523", "--w", "30", "--flavor", "mdpc",
+        "--t-min", "21", "--t-max", "23", "--trials", "12",
+    ], monkeypatch, capsys)
+    assert [json.loads(line)["failures"] for line in out.splitlines()] == [3, 3, 9]
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "b4bcdd6458a55d6a647088e295f53943d5b32c495374db8f1eec6c09aab95560"
 
 
 def test_dfr_sweep_rejects_nonpositive_workers(monkeypatch, capsys):
@@ -65,7 +76,8 @@ def test_dfr_sweep_rejects_nonpositive_workers(monkeypatch, capsys):
         (["--trials", "0"], "trials"),
         (["--t-max", "27"], "--t-max"),  # n = 26
         (["--r", "12"], "odd"),
-        (["--max-iters", "0"], "max_iters"),
+        (["--variant", "backflip"], "unrecognized arguments: --variant"),
+        (["--max-iters", "7"], "unrecognized arguments: --max-iters"),
         (["--seed", "zz"], "hexadecimal"),
     ):
         argv = ["--r", "13", "--w", "5", "--flavor", "mdpc", "--t-max", "1", *flags]
@@ -83,47 +95,3 @@ def test_workfactor_table(monkeypatch, capsys):
     assert len(rows) == 7
     assert rows["cca128"]["messageRecoveryBits"] == 129.98
     assert rows["cca128"]["keyRecoveryBits"] == 30.51
-
-
-def test_derive_toy_error_weights(monkeypatch, capsys):
-    out = _run_script("derive_toy_error_weights", [
-        "--target", "1", "--budget", "10",
-    ], monkeypatch, capsys)
-    record = json.loads(out)
-    assert isinstance(record["t1"], int) and isinstance(record["t2"], int)
-
-
-def test_derive_toy_error_weights_rejects_bad_flags(monkeypatch, capsys):
-    # each exits 2 with a usage error naming the flag, before any trial
-    module = _load_script("derive_toy_error_weights")
-    for flags, named in (
-        (["--seed", "zz"], "--seed"),
-        (["--seed", "00"], "--seed"),
-        (["--target", "0"], "--target"),
-        (["--target", "2"], "--target"),
-        (["--budget", "5"], "--budget"),
-    ):
-        monkeypatch.setattr(sys, "argv", ["derive_toy_error_weights.py", *flags])
-        with pytest.raises(SystemExit) as info:
-            module.main()
-        assert info.value.code == 2, flags
-        captured = capsys.readouterr()
-        assert captured.out == "" and named in captured.err, flags
-
-
-def test_derive_toy_error_weights_reports_infeasible_target(monkeypatch, capsys):
-    # a real infeasible selection (--target 1e-3 --budget 10000) takes tens
-    # of seconds, so the selection is made to fail at once
-    module = _load_script("derive_toy_error_weights")
-
-    def infeasible(params, target, budget, cfg, rng):
-        raise module.SelectionError(f"no error weight t >= 1 meets target {target}")
-
-    monkeypatch.setattr(module, "select_t_for_dfr", infeasible)
-    monkeypatch.setattr(sys, "argv", ["derive_toy_error_weights.py",
-                                      "--target", "1e-3", "--budget", "10000"])
-    with pytest.raises(SystemExit) as info:
-        module.main()
-    assert info.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and "meets target 0.001" in captured.err

@@ -27,6 +27,7 @@ from plotkin_pke.gf2 import (
     sample_fixed_weight,
 )
 from plotkin_pke.isd import log2_binom
+from plotkin_pke.presets import LAB
 from plotkin_pke.rng import substream
 from plotkin_pke.scheme import (
     PublicKey,
@@ -44,7 +45,9 @@ from plotkin_pke.stern import (
     stern_search,
 )
 
-LAB = SchemeParams(2, 101, 14, 6, 4, 4)
+# Stern and structure recovery run on their own r = 101 keys: they test
+# Stern, not the lab set, and keep these keys when presets.LAB moves
+R101 = SchemeParams(2, 101, 14, 6, 4, 4)
 
 
 def _planted_instance(rng, n=202, d=60, weight=6):
@@ -127,9 +130,9 @@ def _degenerate_lab_dual():
     10): its ldpc block row has h0 = x^67 h1, so A^T is a permutation."""
     master = hashlib.sha256(b"perfbench/attack-lab/1").digest()
     seed = hashlib.sha256(master + b"demo" + (10).to_bytes(8, "little")).digest()
-    pk, _ = keygen(LAB, substream(seed, 0))
+    pk, _ = keygen(R101, substream(seed, 0))
     dual = _dual_generator(systematic_public_generator(pk))
-    assert (dual[:, :LAB.r].sum(axis=0) == 1).all()
+    assert (dual[:, :R101.r].sum(axis=0) == 1).all()
     return dual
 
 
@@ -160,7 +163,7 @@ def test_restart_one_matches_gauss_jordan_oracle(make_rng, monkeypatch):
     # [I_d | B] and the column order of a plain Gauss-Jordan bit for bit
     steps = _pivot_spy(monkeypatch)
     replaced = {"pivot": 0, "identity": 0}
-    duals = [(dual, 10) for dual, _ in _lab_duals(LAB, 3, b"\x7d")]
+    duals = [(dual, 10) for dual, _ in _lab_duals(R101, 3, b"\x7d")]
     duals.append((_degenerate_lab_dual(), 10))
     duals += [(dual, 2) for dual, _ in _lab_duals(SchemeParams(2, 211, 14, 6, 4, 4), 1, b"\x7e")]
     duals.append((_dual_generator(_planted_instance(make_rng(0x5e))[0]), 10))
@@ -189,7 +192,7 @@ def test_restart_one_pivots_only_entering_columns(monkeypatch):
     # otherwise one per information column that enters from outside the
     # current basis
     steps = _pivot_spy(monkeypatch)
-    cases = [(dual, rng) for dual, rng in _lab_duals(LAB, 2, b"\x7f")]
+    cases = [(dual, rng) for dual, rng in _lab_duals(R101, 2, b"\x7f")]
     cases.append((_degenerate_lab_dual(), substream(b"\x7f" * 32, 9)))
     for dual, rng in cases:
         d, n = dual.shape
@@ -220,7 +223,7 @@ def test_chained_restarts_match_row_space_oracle(make_rng, monkeypatch):
     # rows; rows and tail columns follow the drawn permutation and at most
     # _CHAIN_SWAPS columns enter the information set, one step each
     steps = _pivot_spy(monkeypatch)
-    duals = list(_lab_duals(LAB, 2, b"\x7b"))
+    duals = list(_lab_duals(R101, 2, b"\x7b"))
     rng = make_rng(0x5c)
     duals.append((_dual_generator(_planted_instance(rng)[0]), rng))
     for dual, rng in duals:
@@ -283,7 +286,7 @@ def test_stern_known_answer():
     record = []
     for i in range(12):
         rng = substream(b"\x5e" * 32, i)
-        pk, _ = keygen(LAB, rng)
+        pk, _ = keygen(R101, rng)
         gen = systematic_public_generator(pk)
         hit = stern_search(gen, 6, rng, max_iterations=20)
         loose = stern_search(gen, 30, rng, max_iterations=20)
@@ -292,7 +295,7 @@ def test_stern_known_answer():
                        loose.iterations, miss.iterations])
         dual = _dual_generator(gen)
         for _ in range(30):
-            perm = list(range(LAB.n))
+            perm = list(range(R101.n))
             rng.shuffle(perm)
             record.append(_reduce_onto_information_set(dual, perm)[1])
     digest = hashlib.sha256(json.dumps(record).encode()).hexdigest()
@@ -340,10 +343,10 @@ def _nested_loop_hits(tail, window, budget):
 def test_hits_match_nested_loop_in_search_order(monkeypatch):
     # a loose target, where a restart has hundreds of hits to put in order;
     # the small chunk splits each join into dozens of runs
-    d = LAB.n - LAB.k
+    d = R101.n - R101.k
     budget = 30 - 4
     pairs = _pair_tables(d)
-    for tail, window in _reduced_tails(LAB, keys=3, restarts=1):
+    for tail, window in _reduced_tails(R101, keys=3, restarts=1):
         expect = _nested_loop_hits(tail, window, budget)
         assert len(expect) > 100
         for chunk in (stern._JOIN_CHUNK, 1000):
@@ -471,7 +474,7 @@ def _assert_hits_match_stern_cost_model(params, tails):
 
 
 @pytest.mark.parametrize("params, keys, restarts", [
-    (LAB, 4, 40),
+    (R101, 4, 40),
     (SchemeParams(2, 211, 14, 6, 4, 4), 2, 20),
 ])
 def test_hit_count_matches_stern_cost_model(params, keys, restarts):
@@ -479,7 +482,7 @@ def test_hit_count_matches_stern_cost_model(params, keys, restarts):
 
 
 @pytest.mark.parametrize("params, keys, restarts", [
-    (LAB, 4, 40),
+    (R101, 4, 40),
     (SchemeParams(2, 211, 14, 6, 4, 4), 2, 20),
 ])
 def test_chained_hit_count_matches_stern_cost_model(params, keys, restarts, monkeypatch):
@@ -502,29 +505,29 @@ def test_stern_input_validation(make_rng):
 def test_systematic_public_generator_matches_dense_reduction():
     # S is the public left block of SG2, so S^-1 SG2 over the ring is
     # exactly the row reduction of the expanded generator
-    for i, params in enumerate((LAB, SchemeParams(3, 101, 14, 6, 4, 4))):
+    for i, params in enumerate((R101, SchemeParams(3, 101, 14, 6, 4, 4))):
         pk, _ = keygen(params, substream(b"\x5f" * 32, i))
         expect = dense.systematic_form(dense.expand_block_matrix(pk.sg2))
         got = systematic_public_generator(pk)
         assert got.dtype == expect.dtype and np.array_equal(got, expect)
-    zero = BlockMatrix(((CirculantBlock.zero(LAB.r),) * 2,))
+    zero = BlockMatrix(((CirculantBlock.zero(R101.r),) * 2,))
     with pytest.raises(NotInvertibleError):
-        systematic_public_generator(PublicKey(LAB, zero, zero))
+        systematic_public_generator(PublicKey(R101, zero, zero))
 
 
 def test_recover_dual_structure_quasi_cyclic(make_rng):
     rng = make_rng(0x54)
-    pk, sk = keygen(LAB, rng)
+    pk, sk = keygen(R101, rng)
     rec = recover_dual_structure(pk, rng, max_iterations=500)
     assert rec is not None
-    assert rec.row.weight == LAB.w2
+    assert rec.row.weight == R101.w2
     assert rec.complete
     assert rec.iterations >= 1
     # all r blockwise rotations annihilate the public generator, densely
     gen_sys = systematic_public_generator(pk)
     h_dense = dense.expand_block_matrix(BlockMatrix((rec.parity.blocks,)))
     assert not oracle.mat_mul(gen_sys, h_dense.T).any()
-    assert oracle.rank(h_dense) == LAB.r
+    assert oracle.rank(h_dense) == R101.r
 
 
 def test_rotations_complete_matches_dense_rank(make_rng):
@@ -532,13 +535,13 @@ def test_rotations_complete_matches_dense_rank(make_rng):
     # rotations span at most r - 1 dimensions
     rng = make_rng(0x58)
     for weights in ((2, 4), (4, 2), (0, 6), (3, 3), (1, 5)):
-        row = sample_fixed_weight(rng, LAB.r, weights[0]).concat(
-            sample_fixed_weight(rng, LAB.r, weights[1])
+        row = sample_fixed_weight(rng, R101.r, weights[0]).concat(
+            sample_fixed_weight(rng, R101.r, weights[1])
         )
-        parity = rotations_parity_check(LAB, row)
+        parity = rotations_parity_check(R101, row)
         complete = _rotations_complete(parity)
         rank = oracle.rank(dense.expand_block_matrix(BlockMatrix((parity.blocks,))))
-        assert complete == (rank == LAB.r)
+        assert complete == (rank == R101.r)
         if all(w % 2 == 0 for w in weights):
             assert not complete
 
@@ -547,14 +550,14 @@ def test_recovered_structure_decodes_like_the_true_key(make_rng):
     # the recovered row is a rotation of the secret one, so the circulant
     # expansions hold the same row set and the decoder cannot tell them apart
     rng = make_rng(0x55)
-    pk, sk = keygen(LAB, rng)
+    pk, sk = keygen(R101, rng)
     rec = recover_dual_structure(pk, rng, max_iterations=500)
     assert rec is not None
-    cfg = ldpc_decoder_config(LAB)
+    cfg = ldpc_decoder_config(R101)
     successes = 0
     for _ in range(100):
-        m2 = BitVector(LAB.k, rng.take_bits(LAB.k))
-        word = pk.sg2.vec_mul(m2) ^ sample_fixed_weight(rng, LAB.n, LAB.t2)
+        m2 = BitVector(R101.k, rng.take_bits(R101.k))
+        word = pk.sg2.vec_mul(m2) ^ sample_fixed_weight(rng, R101.n, R101.t2)
         mine = decode(rec.parity, word, cfg)
         true = decode(sk.h2, word, cfg)
         assert mine == true
@@ -566,7 +569,7 @@ def test_recovered_structure_decodes_like_the_true_key(make_rng):
 def test_rotations_parity_check_shape(make_rng):
     rng = make_rng(0x56)
     row = sample_fixed_weight(rng, 202, 6)
-    parity = rotations_parity_check(LAB, row)
+    parity = rotations_parity_check(R101, row)
     assert parity.params.r == 101
     assert len(parity.blocks) == 2
     assert sum(b.weight for b in parity.blocks) == row.weight
@@ -657,4 +660,4 @@ def test_attack_report_json(make_rng):
         "directDecodeIterations", "combinedDecodeSuccess",
         "combinedDecodeIterations", "residualWeight", "attackSucceeded",
     }
-    assert record["r"] == 101 and record["w2"] == 6
+    assert record["r"] == LAB.r and record["w2"] == LAB.w2
