@@ -170,6 +170,11 @@ def _cmd_dfr(args) -> int:
         for name in ("t", "trials", "workers"):  # each has an estimate-mode default
             if getattr(args, name) is not None:
                 raise ValueError(f"--{name} does not apply with --target, which selects t")
+        # select_t_for_dfr refuses these too, naming its own parameters
+        if not 0.0 < args.target <= 1.0:
+            raise ValueError("--target must lie in (0, 1]")
+        if args.budget < 10.0 / args.target:
+            raise ValueError("--budget is too small to resolve --target (need >= 10/target)")
         t = select_t_for_dfr(qc_params, args.target, args.budget, cfg, rng)
         _print({
             "coordinate": args.coordinate,

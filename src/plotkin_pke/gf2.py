@@ -25,22 +25,29 @@ and a row vector times a circulant is again a polynomial product, so a row
 vector times a column of circulants is a sum of them (``_block_dot``, shared
 by ``BlockMatrix.vec_mul``, the syndrome and the decoder).
 
-Every product goes through ``_mul``, which has two branches on the
-weight of the lighter operand: up to ``_SPARSE_MAX_WEIGHT`` (the rows of H)
-one shift-xor per set bit, above it (S, S^-1, the public generator, the
-plaintext) a comb over 32-bit chunks, eight 4-bit windows each, with one
-shift-xor into the accumulator per nonzero chunk.  The one exception is
-a product that ``_block_dot`` is handed the row's support for (the
-decoder's syndrome updates): a block heavier than that support is shifted
-by each index of it.  ``_mul`` does not reduce: ``_block_dot`` is the one
-reducer, folding a column's summed products once.  A block product is
-``_block_dot`` over a column of one, and block row i of ``A @ B`` is
-``B.vec_mul`` of A's row i.
+Every product takes one of two routes, chosen on the weight of the lighter
+operand against ``_SPARSE_MAX_WEIGHT``: up to it (the rows of H) one
+shift-xor per set bit, above it (S, S^-1, the public generator, the
+plaintext) a real FFT convolution whose rounded parities are the product
+over GF(2).  ``_mul`` takes either route and does not reduce; ``_block_dot``
+folds a column's summed products once.  The one exception is a product
+that ``_block_dot`` is handed the row's support for (the decoder's syndrome
+updates): a block heavier than that support is shifted by each index of it.
+``BlockMatrix.vec_mul`` runs the spectral route itself, keeping the
+spectra of a matrix's dense blocks from first use, so a loaded key's blocks
+are transformed once: an encrypt then takes 2 forward and 4 inverse
+transforms.  It sums a column's spectral products and folds the inverse
+transform mod x^r - 1 before rounding.  A block product is ``_block_dot``
+over a column of one, and block row i of ``A @ B`` is ``B.vec_mul`` of A's
+row i.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .rng import RandomStream
 
@@ -134,13 +141,48 @@ class BitVector:
 
 
 # Lighter operands up to this weight take the set-bit loop, heavier ones the
-# comb, so every row of H at every preset (block weight at most 137) stays on
-# the loop.  The bound sits between the two crossovers.  Median of 31 calls
-# against a dense row on a 2-vCPU VM: at r = 523 the two tie near w = 128
-# (0.04 ms) and the comb wins at w = 192 (0.04 against 0.055 on the loop); at
-# r = 11779 the loop still wins at w = 512 (0.48-0.80 against 0.56-0.99) and
-# loses from w = 768 on.
+# spectral product, so every row of H at every preset (block weight at most
+# 137) stays on the loop.  The bound sits below every crossover.  Medians of
+# 31 calls against a random row on a 2-vCPU VM: at r = 523 the loop takes
+# 0.04 ms at w = 192 and ties ``vec_mul``'s product against kept spectra
+# near w = 256 (0.055 ms); a product that transforms both operands (0.08 ms)
+# never wins there, as the lighter operand weighs at most about r/2.  At
+# r = 11779 the loop takes 0.18 ms at w = 192 and ties kept spectra near
+# w = 800 (0.75 ms) and a product transforming both near w = 1300 (1.3 ms).
 _SPARSE_MAX_WEIGHT = 192
+
+
+def _fft_size(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n, a length numpy's FFT runs fast: at a
+    length with a large prime factor, as 2r for every preset r, it falls
+    back to Bluestein's algorithm, 20 to 30 times slower."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:  # the least power of two times p35 that reaches n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _spectrum(a: int, size: int) -> np.ndarray:
+    """Real FFT of a's coefficients, zero-padded to ``size``."""
+    data = np.frombuffer(a.to_bytes((a.bit_length() + 7) // 8, "little"), np.uint8)
+    return np.fft.rfft(np.unpackbits(data, bitorder="little"), size)
+
+
+def _pack(coefficients: np.ndarray) -> int:
+    """The polynomial whose bit j is the parity of coefficient j, rounded.
+
+    The coefficients are integer convolutions computed in float64.  Their
+    rounding error is far below the 1/2 that would flip a bit: at most
+    2.2e-11 at r = 40597, all-ones times all-ones.  The cast to uint8 wraps
+    modulo 256 and keeps the parity.
+    """
+    bits = np.rint(coefficients).astype(np.int64).astype(np.uint8) & 1
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
 def _mul(a: int, b: int) -> int:
@@ -148,33 +190,23 @@ def _mul(a: int, b: int) -> int:
 
     A sparse a (weight at most ``_SPARSE_MAX_WEIGHT``, as every row of H) is
     iterated bit by bit: a weight-w row costs w shift-xors regardless of b's
-    density.  A dense a goes through a 4-bit comb (Lopez-Dahab) read 32 bits
-    at a time: t0[p] = p(x) * b(x) for every p of degree below 4, built by
-    doubling, and t_k = t0 shifted by 4k for k = 1..7.  Each nonzero 32-bit
-    chunk of a XORs together the eight entries its nibbles select, rows of
-    b's length, and shifts that sum into the accumulator: one accumulator
-    update per chunk, not per byte.
+    density.  A dense a is multiplied in the frequency domain: the integer
+    convolution of the two coefficient sequences is the inverse real FFT of
+    the product of their spectra, at ``_fft_size`` of the product's length,
+    and its parities are the product over GF(2).  ``BlockMatrix.vec_mul``
+    takes the same route with the spectra of its blocks kept.
     """
     if a.bit_count() > b.bit_count():
         a, b = b, a
+    if a.bit_count() > _SPARSE_MAX_WEIGHT:
+        n = a.bit_length() + b.bit_length() - 1
+        size = _fft_size(n)
+        return _pack(np.fft.irfft(_spectrum(a, size) * _spectrum(b, size), size)[:n])
     acc = 0
-    if a.bit_count() <= _SPARSE_MAX_WEIGHT:
-        while a:  # from the top bit: a & -a would negate the whole long int
-            top = a.bit_length() - 1
-            acc ^= b << top
-            a ^= 1 << top
-    else:
-        t0 = [0, b]  # t0[p] = p(x) * b(x), p read as a bit pattern
-        for i in range(1, 4):
-            t0 += [t ^ (b << i) for t in t0]
-        t1, t2, t3, t4, t5, t6, t7 = ([t << 4 * k for t in t0] for k in range(1, 8))
-        it = iter(a.to_bytes((a.bit_length() + 31) // 32 * 4, "little"))
-        for j, (w, x, y, z) in enumerate(zip(it, it, it, it)):
-            if w | x | y | z:
-                acc ^= (
-                    t0[w & 15] ^ t1[w >> 4] ^ t2[x & 15] ^ t3[x >> 4]
-                    ^ t4[y & 15] ^ t5[y >> 4] ^ t6[z & 15] ^ t7[z >> 4]
-                ) << 32 * j
+    while a:  # from the top bit: a & -a would negate the whole long int
+        top = a.bit_length() - 1
+        acc ^= b << top
+        a ^= 1 << top
     return acc
 
 
@@ -363,15 +395,55 @@ class BlockMatrix:
             rows.append(tuple(CirculantBlock(r, part) for part in other.vec_mul(v).chunks(r)))
         return BlockMatrix(tuple(rows))
 
+    @cached_property
+    def _spectra(self) -> tuple[int, dict[tuple[int, int], np.ndarray]]:
+        """(size, spectra): ``_spectrum`` at ``size = _fft_size(2r - 1)`` of
+        every block (i, j) heavier than ``_SPARSE_MAX_WEIGHT``.  Made on the
+        first ``vec_mul`` and kept, since blocks never change; equality,
+        hashing and pickles ignore it."""
+        size = _fft_size(2 * self.r - 1)
+        return size, {
+            (i, j): _spectrum(b.row0.value, size)
+            for i, row in enumerate(self.blocks)
+            for j, b in enumerate(row)
+            if b.weight > _SPARSE_MAX_WEIGHT
+        }
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in vars(self).items() if k != "_spectra"}
+
     def vec_mul(self, v: BitVector) -> BitVector:
-        """Row vector (block_rows * r bits) times this matrix: output block j
-        is ``_block_dot`` of v with block column j."""
+        """Row vector (block_rows * r bits) times this matrix.
+
+        Output block j sums the products of v's blocks with block column j.
+        A product of two blocks heavier than ``_SPARSE_MAX_WEIGHT`` is a
+        product of spectra: each such block of v is transformed once per
+        call, this matrix's blocks once in its life (``_spectra``), and each
+        output block takes one inverse transform of its summed products,
+        folded mod x^r - 1.  Every other product goes through ``_block_dot``.
+        """
         r = self.r
         if v.length != self.block_rows * r:
             raise ValueError("vector length mismatch")
+        mask = (1 << r) - 1
+        parts = [v.value >> i * r & mask for i in range(self.block_rows)]
+        size, spectra = self._spectra
+        transformed = {i: _spectrum(y, size) for i, y in enumerate(parts)
+                       if y.bit_count() > _SPARSE_MAX_WEIGHT}
         out = 0
         for j in range(self.block_cols):
-            out |= _block_dot(v.value, [row[j].row0.value for row in self.blocks], r) << j * r
+            rest, total = v.value, None
+            for i, f in transformed.items():
+                if (i, j) in spectra:
+                    product = f * spectra[i, j]
+                    total = product if total is None else total + product
+                    rest ^= parts[i] << i * r
+            word = _block_dot(rest, [row[j].row0.value for row in self.blocks], r)
+            if total is not None:
+                c = np.fft.irfft(total, size)
+                c[: r - 1] += c[r : 2 * r - 1]
+                word ^= _pack(c[:r])
+            out |= word << j * r
         return BitVector(self.block_cols * r, out)
 
     def inverse(self) -> "BlockMatrix":

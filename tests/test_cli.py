@@ -321,9 +321,10 @@ def test_dfr_select_rederives_toy_weights(capsys, coordinate, pinned):
     (["--target", "1e-2", "--budget", "2000", "--seed", "00"], "--seed"),
 ])
 def test_dfr_select_refuses_bad_flags(capsys, flags, named):
+    # each refusal names the flag, dashes and all
     code, out, err = _run(capsys, ["dfr", "--preset", "toy", *flags])
     assert code == 2
-    assert out == "" and named in err
+    assert out == "" and "--" + named.removeprefix("--") in err
 
 
 def test_dfr_select_reports_infeasible_target(capsys, monkeypatch):

@@ -1,13 +1,14 @@
 """Packed circulant algebra against the dense numpy oracle."""
 
 import hashlib
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle
-from plotkin_pke import dense, gf2
+from plotkin_pke import dense, gf2, preset
 from plotkin_pke.gf2 import (
     BitVector,
     BlockMatrix,
@@ -18,8 +19,12 @@ from plotkin_pke.gf2 import (
     _transpose_row,
     sample_fixed_weight,
 )
+from plotkin_pke.qc import QcParams, derive_generator, sample_parity_check
 from plotkin_pke.rng import RandomStream, derive_substream_seed, substream
+from plotkin_pke.scheme import decrypt, encrypt, keygen
+from plotkin_pke.wire import deserialize_public, serialize_public, serialize_secret
 
+TOY = preset("toy")
 ODD_R = [3, 5, 7, 9, 11, 13, 17, 19, 23, 29, 31]
 
 
@@ -135,8 +140,8 @@ def test_transpose_antihomomorphism(pair):
 @pytest.mark.parametrize(
     "weight", [0, 1, 64, 128, 129, _SPARSE_MAX_WEIGHT, _SPARSE_MAX_WEIGHT + 1, 200, 261, 522, 523]
 )
-def test_block_mul_matches_dense_across_comb_cutoff(make_rng, weight):
-    # the lighter operand's weight crosses the set-bit/comb cut-off
+def test_block_mul_matches_dense_across_sparse_cutoff(make_rng, weight):
+    # the lighter operand's weight crosses the set-bit/spectral cut-off
     rng = make_rng(weight)
     r = 523
     a = CirculantBlock(r, sample_fixed_weight(rng, r, weight))
@@ -170,16 +175,22 @@ def setbit_mul(a: int, b: int, r: int) -> int:
     return acc
 
 
-@pytest.mark.parametrize("r", [193, 255, 256, 257, 523, 10163, 11779])
+@pytest.mark.parametrize("r", [193, 255, 256, 257, 523, 10163, 11779, 24821, 40597])
 def test_comb_matches_setbit_reference(make_rng, monkeypatch, r):
-    # r mod 32 runs over 1, 31, 0, 1, 11, 19, 3: full, partial and single-bit
-    # top chunks.  With the cut-off at 0 every operand takes the comb, however
-    # light, so the zero-chunk shapes exercise it at every r.
+    # the spectral products against the set-bit reference, by both routes:
+    # ``_mul``'s unreduced convolution, which ``_block_dot`` folds, and
+    # ``vec_mul``'s, folded before rounding.  r mod 32 runs over 1, 31, 0, 1,
+    # 11, 19, 3, 21, 21: full, partial and single-bit top words.  With the
+    # cut-off at 0 every nonzero operand is transformed, however light, so
+    # the zero-word shapes and operands far shorter than r reach the kernel
+    # at every r; a = 0 is never transformed.  All-ones x all-ones gives the
+    # largest coefficients
     monkeypatch.setattr(gf2, "_SPARSE_MAX_WEIGHT", 0)
     rng = make_rng(r)
     ones = (1 << r) - 1
     a, b = rng.take_bits(r), rng.take_bits(r)
     top_chunk = ones >> 32 * ((r - 1) // 32) << 32 * ((r - 1) // 32)
+    short = a & ((1 << 40) - 1) | 1
     for x, y in (
         (a, b),  # random dense
         (ones, b),  # all-ones
@@ -187,10 +198,16 @@ def test_comb_matches_setbit_reference(make_rng, monkeypatch, r):
         (a & ~((1 << 96) - 1), b),  # three zero low chunks
         (a, a),
         (ones, ones),
+        (0, b),
+        (short, b),
+        (short, short >> 7 | 1),
+        (1 << r - 1, b >> r // 2),  # a monomial at the top, b's top half zero
     ):
         want = setbit_mul(x, y, r)
         assert _block_dot(x, [y], r) == want
         assert _block_dot(y, [x], r) == want
+        block = BlockMatrix(((CirculantBlock(r, BitVector(r, y)),),))
+        assert block.vec_mul(BitVector(r, x)).value == want
 
 
 def test_dense_products_pinned_digest(make_rng):
@@ -206,14 +223,15 @@ def test_dense_products_pinned_digest(make_rng):
     assert h.hexdigest() == "09bd89176d7a499e2c7137cfb9e9cad0025e5eecda4098b58712f7a9daaf6a6e"
 
 
-@pytest.mark.parametrize("comb_from", [_SPARSE_MAX_WEIGHT, 0])
+@pytest.mark.parametrize("spectral_from", [_SPARSE_MAX_WEIGHT, 0])
 @pytest.mark.parametrize("r, n0", [(101, 2), (101, 3), (523, 2), (523, 3)])
-def test_block_dot_lanes_match_one_word_each(make_rng, monkeypatch, r, n0, comb_from):
+def test_block_dot_lanes_match_one_word_each(make_rng, monkeypatch, r, n0, spectral_from):
     # words of n = n0 r bits packed at bit l n, with the r-bit mask at the
     # foot of every lane: the packed sum holds each word's own at bit l n.
-    # Sparse and dense rows and words; a cut-off of 0 sends every product
-    # through the comb, which otherwise sees only the dense r = 523 pairs
-    monkeypatch.setattr(gf2, "_SPARSE_MAX_WEIGHT", comb_from)
+    # Sparse and dense rows and words; a cut-off of 0 sends every product,
+    # lanes and all, through the spectral kernel, which otherwise sees only
+    # the dense r = 523 pairs
+    monkeypatch.setattr(gf2, "_SPARSE_MAX_WEIGHT", spectral_from)
     rng = make_rng(r * n0)
     n = n0 * r
     for row_weight in (3, r // 2):
@@ -250,7 +268,7 @@ def test_dense_blockmatrix_inverse_round_trip(make_rng, size):
         except NotInvertibleError:
             continue
         break
-    assert min(b.weight for row in inv.blocks for b in row) > _SPARSE_MAX_WEIGHT  # comb
+    assert min(b.weight for row in inv.blocks for b in row) > _SPARSE_MAX_WEIGHT  # spectral
     assert m @ inv == eye
     assert inv @ m == eye
 
@@ -355,6 +373,51 @@ def test_blockmatrix_vec_mul_matches_dense(rng):
     got = dense.to_array(a.vec_mul(v))
     want = oracle.vec_mat_mul(dense.to_array(v), dense.expand_block_matrix(a))
     assert got.tolist() == want.tolist()
+
+
+def test_vec_mul_spectra_kept_per_matrix(make_rng):
+    # r = 523 puts dense blocks on the spectral route.  A [I | Q] generator,
+    # whose identity block stays on _block_dot, and a 2 x 3 grid, each of
+    # whose output blocks sums two spectral products; dense vectors and ones
+    # with a light block.  Each matrix answers twice, an equal fresh one
+    # once, all against the dense oracle
+    rng = make_rng(0x5D)
+    r = 523
+    gen = derive_generator(sample_parity_check(rng, QcParams(2, r, 30, "mdpc")))
+    grid = random_grid(rng, 2, 3, r)
+    light = sample_fixed_weight(rng, r, 5)
+    assert _SPARSE_MAX_WEIGHT < min(b.weight for b in grid.blocks[0] + gen.blocks[0][1:])
+    for m, vectors in (
+        (gen, [BitVector(r, rng.take_bits(r)), light]),
+        (grid, [BitVector(2 * r, rng.take_bits(2 * r)), BitVector(r, rng.take_bits(r)).concat(light)]),
+    ):
+        expanded = dense.expand_block_matrix(m)
+        for v in vectors:
+            want = oracle.vec_mat_mul(dense.to_array(v), expanded).tolist()
+            for got in (m.vec_mul(v), m.vec_mul(v), BlockMatrix(m.blocks).vec_mul(v)):
+                assert dense.to_array(got).tolist() == want
+
+
+def test_spectra_leave_keys_unchanged(make_rng):
+    # filling the spectra of a key's matrices changes none of equality,
+    # hashing, the wire bytes or the pickle bytes, and an unpickled key
+    # computes its own
+    pk, sk = keygen(TOY, make_rng(0x5E))
+    before = (serialize_public(pk), serialize_secret(sk), hash(pk), hash(sk),
+              pickle.dumps(pk), pickle.dumps(sk))
+    message = BitVector(TOY.plaintext_bits, make_rng(0x5F).take_bits(TOY.plaintext_bits))
+    ct = encrypt(pk, message, make_rng(0x60))
+    assert decrypt(sk, ct) == message
+    assert all("_spectra" in vars(m) for m in (pk.sg1, pk.sg2, sk.s_inv))
+    after = (serialize_public(pk), serialize_secret(sk), hash(pk), hash(sk),
+             pickle.dumps(pk), pickle.dumps(sk))
+    assert after == before
+    loaded_pk, loaded_sk = pickle.loads(before[4]), pickle.loads(before[5])
+    assert (loaded_pk, loaded_sk) == (pk, sk)
+    assert loaded_pk == deserialize_public(before[0])
+    assert hash(loaded_pk) == hash(pk)
+    assert decrypt(loaded_sk, encrypt(loaded_pk, message, make_rng(0x60))) == message
+    assert encrypt(loaded_pk, message, make_rng(0x60)) == ct
 
 
 def test_blockmatrix_inverse_round_trip(rng):
