@@ -140,8 +140,9 @@ def test_transpose_antihomomorphism(pair):
 @pytest.mark.parametrize(
     "weight", [0, 1, 64, 128, 129, _SPARSE_MAX_WEIGHT, _SPARSE_MAX_WEIGHT + 1, 200, 261, 522, 523]
 )
-def test_block_mul_matches_dense_across_sparse_cutoff(make_rng, weight):
-    # the lighter operand's weight crosses the set-bit/spectral cut-off
+def test_block_mul_matches_dense_across_comb_cutoff(make_rng, weight):
+    # the lighter operand's weight crosses the set-bit/spectral cut-off, which
+    # the dense comb held before the spectral kernel; the name keeps the ids
     rng = make_rng(weight)
     r = 523
     a = CirculantBlock(r, sample_fixed_weight(rng, r, weight))
