@@ -7,7 +7,7 @@ with, so it reports ``samples: []``.  Exit codes:
 
     0  success
     2  bad parameters, malformed or unreadable files, unwritable outputs,
-       usage errors
+       an output path that names an input or another output, usage errors
     3  generation gave up (no invertible block / scrambler within bounds)
     4  decryption failure: the decoder gave up, or the recovered error has
        the wrong weight (the failing stage and the reason go to stderr)
@@ -62,6 +62,16 @@ def _atomic_write(path: str, data: bytes) -> None:
         raise
 
 
+def _refuse_overwrite(inputs: dict[str, str], outputs: dict[str, str]) -> None:
+    """Refuse, before any file is read or written, an output path that names
+    an input or another output; paths are compared as real paths."""
+    seen = {os.path.realpath(path): flag for flag, path in inputs.items()}
+    for flag, path in outputs.items():
+        other = seen.setdefault(os.path.realpath(path), flag)
+        if other != flag:
+            raise ValueError(f"{flag} names the same file as {other}")
+
+
 def _parse_seed(text: str | None) -> bytes:
     if text is None:
         return os.urandom(32)
@@ -109,6 +119,7 @@ def _print(obj: dict) -> None:
 
 
 def _cmd_keygen(args) -> int:
+    _refuse_overwrite({}, {"--pub": args.pub, "--sec": args.sec})
     params = _params_from_args(args)
     wire.header_bytes(params)  # rejects what the header cannot carry, before keygen
     rng = RandomStream(_parse_seed(args.seed))
@@ -129,6 +140,7 @@ def _cmd_keygen(args) -> int:
 
 
 def _cmd_encrypt(args) -> int:
+    _refuse_overwrite({"--pub": args.pub, "--in": args.input}, {"--out": args.output})
     pk = wire.deserialize_public(_read(args.pub))
     message = wire.unpack_plaintext(_read(args.input), pk.params)
     rng = RandomStream(_parse_seed(args.seed))
@@ -143,6 +155,7 @@ def _cmd_encrypt(args) -> int:
 
 
 def _cmd_decrypt(args) -> int:
+    _refuse_overwrite({"--sec": args.sec, "--in": args.input}, {"--out": args.output})
     sk = wire.deserialize_secret(_read(args.sec))
     ct = wire.deserialize_ciphertext(_read(args.input))
     message = decrypt(sk, ct)

@@ -26,20 +26,19 @@ vector times a column of circulants is a sum of them (``_block_dot``, shared
 by ``BlockMatrix.vec_mul``, the syndrome and the decoder).
 
 Every product takes one of two routes, chosen on the weight of the lighter
-operand against ``_SPARSE_MAX_WEIGHT``: up to it (the rows of H) one
-shift-xor per set bit, above it (S, S^-1, the public generator, the
-plaintext) a real FFT convolution whose rounded parities are the product
-over GF(2).  ``_mul`` takes either route and does not reduce; ``_block_dot``
-folds a column's summed products once.  The one exception is a product
-that ``_block_dot`` is handed the row's support for (the decoder's syndrome
-updates): a block heavier than that support is shifted by each index of it.
-``BlockMatrix.vec_mul`` runs the spectral route itself, keeping the
-spectra of a matrix's dense blocks from first use, so a loaded key's blocks
-are transformed once: an encrypt then takes 2 forward and 4 inverse
-transforms.  It sums a column's spectral products and folds the inverse
-transform mod x^r - 1 before rounding.  A block product is ``_block_dot``
-over a column of one, and block row i of ``A @ B`` is ``B.vec_mul`` of A's
-row i.
+operand against ``_SPARSE_MAX_WEIGHT``.  Up to it (the rows of H) the
+product is one shift-xor per set bit of that operand, always in
+``_block_dot``: the syndrome, the decoder's updates, and the light pairs
+of ``vec_mul`` and ``CirculantBlock.__mul__``.  Above it (S, S^-1, the
+public generator, the plaintext) it is a real FFT convolution: each
+operand's ``_spectrum``, and ``_pack`` to fold the inverse transform of the
+spectra's product mod x^r - 1 and round it to parities over GF(2).
+``BlockMatrix.vec_mul`` keeps the spectra of a matrix's dense blocks from
+first use, so a loaded key's blocks are transformed once, and sums a
+column's spectral products before its one inverse transform: an encrypt
+takes 2 forward and 4 inverse transforms.  ``CirculantBlock.__mul__``
+transforms both blocks of a dense pair, as in ``BlockMatrix.inverse`` at
+k0 >= 2.  Block row i of ``A @ B`` is ``B.vec_mul`` of A's row i.
 """
 
 from __future__ import annotations
@@ -140,15 +139,15 @@ class BitVector:
 # polynomial helpers on raw ints (coefficients of GF(2)[x])
 
 
-# Lighter operands up to this weight take the set-bit loop, heavier ones the
-# spectral product, so every row of H at every preset (block weight at most
-# 137) stays on the loop.  The bound sits below every crossover.  Medians of
-# 31 calls against a random row on a 2-vCPU VM: at r = 523 the loop takes
-# 0.04 ms at w = 192 and ties ``vec_mul``'s product against kept spectra
-# near w = 256 (0.055 ms); a product that transforms both operands (0.08 ms)
-# never wins there, as the lighter operand weighs at most about r/2.  At
-# r = 11779 the loop takes 0.18 ms at w = 192 and ties kept spectra near
-# w = 800 (0.75 ms) and a product transforming both near w = 1300 (1.3 ms).
+# A lighter operand up to this weight takes ``_block_dot``'s set-bit loop, a
+# heavier one the spectral product of ``BlockMatrix.vec_mul`` (and its
+# ``_spectra``) or ``CirculantBlock.__mul__``, so every row of H (block weight
+# at most 137 at any preset) stays on the loop.  The bound sits below every
+# crossover: at r = 523 the loop takes 0.04 ms at w = 192 and ties kept spectra
+# near w = 256 (0.055 ms), and a product transforming both operands (0.08 ms)
+# never wins, as the lighter weighs at most about r/2; at r = 11779 the loop
+# takes 0.18 ms and ties kept spectra near w = 800 (0.75 ms), both transformed
+# near w = 1300 (1.3 ms).  Medians of 31 calls against a random row, 2-vCPU VM.
 _SPARSE_MAX_WEIGHT = 192
 
 
@@ -173,41 +172,19 @@ def _spectrum(a: int, size: int) -> np.ndarray:
     return np.fft.rfft(np.unpackbits(data, bitorder="little"), size)
 
 
-def _pack(coefficients: np.ndarray) -> int:
-    """The polynomial whose bit j is the parity of coefficient j, rounded.
+def _pack(spectrum: np.ndarray, size: int, r: int) -> int:
+    """The product mod x^r - 1 whose real FFT at ``size`` is ``spectrum``.
 
-    The coefficients are integer convolutions computed in float64.  Their
-    rounding error is far below the 1/2 that would flip a bit: at most
-    2.2e-11 at r = 40597, all-ones times all-ones.  The cast to uint8 wraps
-    modulo 256 and keeps the parity.
+    The inverse transform is the operands' integer convolution, computed in
+    float64; it is folded mod x^r - 1 and rounded, and bit j is the parity
+    of coefficient j.  The rounding error is far below the 1/2 that would
+    flip a bit: at most 2.2e-11 at r = 40597, all-ones times all-ones.  The
+    cast to uint8 wraps modulo 256 and keeps the parity.
     """
-    bits = np.rint(coefficients).astype(np.int64).astype(np.uint8) & 1
+    c = np.fft.irfft(spectrum, size)
+    c[: r - 1] += c[r : 2 * r - 1]
+    bits = np.rint(c[:r]).astype(np.int64).astype(np.uint8) & 1
     return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
-
-
-def _mul(a: int, b: int) -> int:
-    """The unreduced product a(x) * b(x), over the lighter operand a.
-
-    A sparse a (weight at most ``_SPARSE_MAX_WEIGHT``, as every row of H) is
-    iterated bit by bit: a weight-w row costs w shift-xors regardless of b's
-    density.  A dense a is multiplied in the frequency domain: the integer
-    convolution of the two coefficient sequences is the inverse real FFT of
-    the product of their spectra, at ``_fft_size`` of the product's length,
-    and its parities are the product over GF(2).  ``BlockMatrix.vec_mul``
-    takes the same route with the spectra of its blocks kept.
-    """
-    if a.bit_count() > b.bit_count():
-        a, b = b, a
-    if a.bit_count() > _SPARSE_MAX_WEIGHT:
-        n = a.bit_length() + b.bit_length() - 1
-        size = _fft_size(n)
-        return _pack(np.fft.irfft(_spectrum(a, size) * _spectrum(b, size), size)[:n])
-    acc = 0
-    while a:  # from the top bit: a & -a would negate the whole long int
-        top = a.bit_length() - 1
-        acc ^= b << top
-        a ^= 1 << top
-    return acc
 
 
 def _block_dot(y: int, rows: list[int], r: int, blocks: int | None = None,
@@ -215,6 +192,7 @@ def _block_dot(y: int, rows: list[int], r: int, blocks: int | None = None,
     """sum_i y_i(x) * rows[i](x) mod (x^r - 1) over the r-bit blocks y_i of
     the packed word y: a row vector times one column of circulants.
 
+    Each product is one shift-xor per set bit of its lighter operand.
     y may pack several words of n >= 2r bits, word l at bit l n; ``blocks``
     is then the r-bit mask at the foot of every word, and the result holds
     word l's sum at bit l n.  Block i of every word is multiplied at once,
@@ -223,8 +201,7 @@ def _block_dot(y: int, rows: list[int], r: int, blocks: int | None = None,
     folding every product.  ``supports``, when given, holds the supports
     of the rows, an index r standing for 0 (the decoder's H^T, read once
     per decode): a y_i heavier than its row's support is shifted by each
-    index of it, with no scan for set bits, and a lighter one goes through
-    ``_mul`` as usual.
+    index of it, with no scan for set bits.
     """
     mask = (1 << r) - 1 if blocks is None else blocks
     acc = 0
@@ -233,8 +210,14 @@ def _block_dot(y: int, rows: list[int], r: int, blocks: int | None = None,
         if supports and y_i.bit_count() > len(supports[i]):
             for u in supports[i]:
                 acc ^= y_i << u
-        elif y_i:
-            acc ^= _mul(y_i, row)
+            continue
+        a, b = y_i, row
+        if a.bit_count() > b.bit_count():
+            a, b = b, a
+        while a:  # from the top bit: a & -a would negate the whole long int
+            top = a.bit_length() - 1
+            acc ^= b << top
+            a ^= 1 << top
     return (acc & mask) ^ (acc >> r & mask)
 
 
@@ -322,9 +305,13 @@ class CirculantBlock:
     def __mul__(self, other: "CirculantBlock") -> "CirculantBlock":
         if self.r != other.r:
             raise ValueError("block size mismatch")
-        return CirculantBlock(
-            self.r, BitVector(self.r, _block_dot(self.row0.value, [other.row0.value], self.r))
-        )
+        r, a, b = self.r, self.row0.value, other.row0.value
+        if a.bit_count() > _SPARSE_MAX_WEIGHT and b.bit_count() > _SPARSE_MAX_WEIGHT:
+            size = _fft_size(2 * r - 1)
+            product = _pack(_spectrum(a, size) * _spectrum(b, size), size, r)
+        else:
+            product = _block_dot(a, [b], r)
+        return CirculantBlock(r, BitVector(r, product))
 
     def transpose(self) -> "CirculantBlock":
         return CirculantBlock(
@@ -440,9 +427,7 @@ class BlockMatrix:
                     rest ^= parts[i] << i * r
             word = _block_dot(rest, [row[j].row0.value for row in self.blocks], r)
             if total is not None:
-                c = np.fft.irfft(total, size)
-                c[: r - 1] += c[r : 2 * r - 1]
-                word ^= _pack(c[:r])
+                word ^= _pack(total, size, r)
             out |= word << j * r
         return BitVector(self.block_cols * r, out)
 

@@ -4,10 +4,11 @@ A deliberately separate second route to the same objects as the package:
 dense matrices are explicit 0/1 ``uint8`` arrays whose products are integer
 matrix multiplications reduced mod 2, with no code shared with the packed
 polynomial representation of ``gf2``; Stern's first reduction is a plain
-Gauss-Jordan of the permuted dual, pivot by pivot; Euclid on GF(2)[x] reads
-each degree afresh from its remainder; uniform draws take one candidate per
-``take_bits`` call; and the SHAKE-256 stream is read straight from
-``hashlib``, with no buffer shared with ``RandomStream``.
+Gauss-Jordan of the permuted dual, pivot by pivot; a product in GF(2)[x]
+shifts by each binary digit, and Euclid reads each degree afresh from its
+remainder; uniform draws take one candidate per ``take_bits`` call; and the
+SHAKE-256 stream is read straight from ``hashlib``, with no buffer shared
+with ``RandomStream``.
 """
 
 from __future__ import annotations
@@ -85,6 +86,16 @@ def reduce_onto_information_set(
 
 
 # --- polynomials over GF(2) ---------------------------------------------------
+
+
+def poly_mul(a: int, b: int) -> int:
+    """The unreduced product a(x) * b(x): one shift of b per set bit of a,
+    read from a's binary digits."""
+    acc = 0
+    for j, bit in enumerate(reversed(bin(a)[2:])):
+        if bit == "1":
+            acc ^= b << j
+    return acc
 
 
 def xgcd(a: int, b: int) -> tuple[int, int]:

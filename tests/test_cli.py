@@ -236,6 +236,51 @@ def test_directory_as_decrypt_output_exits_2(keydir, tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ct.bin", "out"]  # no temp file left
 
 
+CLI_FILES = {
+    "keygen": {"--pub": "pk.bin", "--sec": "sk.bin"},
+    "encrypt": {"--pub": "pk.bin", "--in": "msg.bin", "--out": "ct.bin"},
+    "decrypt": {"--sec": "sk.bin", "--in": "ct.bin", "--out": "back.bin"},
+}
+
+
+@pytest.mark.parametrize("spelling", ["same", "symlink"])
+@pytest.mark.parametrize("command, output, other", [
+    ("keygen", "--sec", "--pub"),
+    ("encrypt", "--out", "--pub"),
+    ("encrypt", "--out", "--in"),
+    ("decrypt", "--out", "--sec"),
+    ("decrypt", "--out", "--in"),
+])
+def test_output_naming_another_file_exits_2(keydir, tmp_path, capsys, monkeypatch,
+                                            command, output, other, spelling):
+    # an output that names an input or the other output would overwrite it:
+    # a decrypt --out at the --sec path would replace the secret key by the
+    # plaintext.  Paths are compared through symlinks, and the refusal comes
+    # before any keygen, read or write
+    for name in ("pk.bin", "sk.bin", "msg.bin"):
+        (tmp_path / name).write_bytes((keydir / name).read_bytes())
+    (tmp_path / "ct.bin").write_bytes(b"ciphertext")
+    paths = {flag: str(tmp_path / name) for flag, name in CLI_FILES[command].items()}
+    if spelling == "symlink":
+        (tmp_path / "link").symlink_to(paths[other])
+        paths[output] = str(tmp_path / "link")
+    else:
+        paths[output] = paths[other]
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    def refuse(*args):
+        pytest.fail("the command read, wrote or generated before refusing")
+
+    for name in ("keygen", "_read", "_atomic_write"):
+        monkeypatch.setattr(cli, name, refuse)
+    argv = [command, *(["--preset", "toy"] if command == "keygen" else [])]
+    code, out, err = _run(capsys, argv + [x for item in paths.items() for x in item])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and output in err and other in err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 def test_unknown_preset_rejected_by_parser(tmp_path):
     with pytest.raises(SystemExit) as info:
         main([

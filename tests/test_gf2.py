@@ -22,7 +22,12 @@ from plotkin_pke.gf2 import (
 from plotkin_pke.qc import QcParams, derive_generator, sample_parity_check
 from plotkin_pke.rng import RandomStream, derive_substream_seed, substream
 from plotkin_pke.scheme import decrypt, encrypt, keygen
-from plotkin_pke.wire import deserialize_public, serialize_public, serialize_secret
+from plotkin_pke.wire import (
+    deserialize_public,
+    deserialize_secret,
+    serialize_public,
+    serialize_secret,
+)
 
 TOY = preset("toy")
 ODD_R = [3, 5, 7, 9, 11, 13, 17, 19, 23, 29, 31]
@@ -178,14 +183,14 @@ def setbit_mul(a: int, b: int, r: int) -> int:
 
 @pytest.mark.parametrize("r", [193, 255, 256, 257, 523, 10163, 11779, 24821, 40597])
 def test_comb_matches_setbit_reference(make_rng, monkeypatch, r):
-    # the spectral products against the set-bit reference, by both routes:
-    # ``_mul``'s unreduced convolution, which ``_block_dot`` folds, and
-    # ``vec_mul``'s, folded before rounding.  r mod 32 runs over 1, 31, 0, 1,
-    # 11, 19, 3, 21, 21: full, partial and single-bit top words.  With the
-    # cut-off at 0 every nonzero operand is transformed, however light, so
-    # the zero-word shapes and operands far shorter than r reach the kernel
-    # at every r; a = 0 is never transformed.  All-ones x all-ones gives the
-    # largest coefficients
+    # the spectral products against the set-bit reference, by both callers
+    # of ``_pack``: a block product in both orders, each transforming its
+    # pair, and ``vec_mul`` against its kept spectrum.  r mod 32 runs over
+    # 1, 31, 0, 1, 11, 19, 3, 21, 21: full, partial and single-bit top
+    # words.  With the cut-off at 0 every nonzero operand is transformed,
+    # however light, so the zero-word shapes and operands far shorter than r
+    # reach the kernel at every r; a = 0 is never transformed.  All-ones x
+    # all-ones gives the largest coefficients
     monkeypatch.setattr(gf2, "_SPARSE_MAX_WEIGHT", 0)
     rng = make_rng(r)
     ones = (1 << r) - 1
@@ -205,34 +210,38 @@ def test_comb_matches_setbit_reference(make_rng, monkeypatch, r):
         (1 << r - 1, b >> r // 2),  # a monomial at the top, b's top half zero
     ):
         want = setbit_mul(x, y, r)
-        assert _block_dot(x, [y], r) == want
-        assert _block_dot(y, [x], r) == want
-        block = BlockMatrix(((CirculantBlock(r, BitVector(r, y)),),))
+        bx, by = CirculantBlock(r, BitVector(r, x)), CirculantBlock(r, BitVector(r, y))
+        assert (bx * by).row0.value == want
+        assert (by * bx).row0.value == want
+        block = BlockMatrix(((by,),))
         assert block.vec_mul(BitVector(r, x)).value == want
 
 
 def test_dense_products_pinned_digest(make_rng):
-    # recorded with the 8-bit comb this kernel replaced: the products are
-    # bit-identical, not only self-consistent
+    # recorded with the 8-bit comb the spectral kernel replaced: the products
+    # are bit-identical, not only self-consistent
     h = hashlib.sha256()
     for r in (523, 10163, 11779, 40597):
         rng = make_rng(r)
         for _ in range(3):
             a, b, c = (rng.take_bits(r) for _ in range(3))
             for x, y in ((a, b), (a | c, b), (a | b | c, c), ((1 << r) - 1, b)):
-                h.update(_block_dot(x, [y], r).to_bytes((r + 7) // 8, "little"))
+                product = CirculantBlock(r, BitVector(r, x)) * CirculantBlock(r, BitVector(r, y))
+                h.update(product.row0.to_bytes())
     assert h.hexdigest() == "09bd89176d7a499e2c7137cfb9e9cad0025e5eecda4098b58712f7a9daaf6a6e"
 
 
-@pytest.mark.parametrize("spectral_from", [_SPARSE_MAX_WEIGHT, 0])
-@pytest.mark.parametrize("r, n0", [(101, 2), (101, 3), (523, 2), (523, 3)])
-def test_block_dot_lanes_match_one_word_each(make_rng, monkeypatch, r, n0, spectral_from):
+# the ids end in the cut-off, 192, that these cases ran under beside a
+# cut-off of 0, which sent them through a spectral route ``_block_dot`` no
+# longer has
+@pytest.mark.parametrize(
+    "r, n0", [pytest.param(r, n0, id=f"{r}-{n0}-192") for r in (101, 523) for n0 in (2, 3)]
+)
+def test_block_dot_lanes_match_one_word_each(make_rng, r, n0):
     # words of n = n0 r bits packed at bit l n, with the r-bit mask at the
     # foot of every lane: the packed sum holds each word's own at bit l n.
-    # Sparse and dense rows and words; a cut-off of 0 sends every product,
-    # lanes and all, through the spectral kernel, which otherwise sees only
-    # the dense r = 523 pairs
-    monkeypatch.setattr(gf2, "_SPARSE_MAX_WEIGHT", spectral_from)
+    # Sparse and dense rows and words, lanes and all, walk the set bits of
+    # the lighter operand
     rng = make_rng(r * n0)
     n = n0 * r
     for row_weight in (3, r // 2):
@@ -311,7 +320,7 @@ def test_xgcd_matches_oracle():
     for _ in range(400):
         a, b, f = (int.from_bytes(g.bytes(size), "little") for size in g.integers(1, 40, 3))
         b, f = b | 1, f | 1
-        cases += [(a, b), (b, a | 1), (gf2._mul(a, f), gf2._mul(b, f)), (0, b)]
+        cases += [(a, b), (b, a | 1), (oracle.poly_mul(a, f), oracle.poly_mul(b, f)), (0, b)]
     for r in (101, 523, 11779):
         for weight in (6, 7, 71):
             row = sample_fixed_weight(RandomStream(bytes([weight]) * 32), r, weight)
@@ -419,6 +428,34 @@ def test_spectra_leave_keys_unchanged(make_rng):
     assert hash(loaded_pk) == hash(pk)
     assert decrypt(loaded_sk, encrypt(loaded_pk, message, make_rng(0x60))) == message
     assert encrypt(loaded_pk, message, make_rng(0x60)) == ct
+
+
+def test_transforms_per_product(monkeypatch):
+    # each product transforms only what its route needs: a light pair and
+    # the key derivations none, a dense pair each of its blocks, and a key's
+    # matrix its blocks once, so a second vec_mul transforms the vector alone
+    pk, sk = keygen(TOY, RandomStream(b"\x01" * 32))
+    seen = []
+    spectrum = gf2._spectrum
+    monkeypatch.setattr(gf2, "_spectrum", lambda a, size: seen.append(a) or spectrum(a, size))
+
+    def transformed(fn):
+        seen.clear()
+        return fn(), list(seen)
+
+    h, s, s_inv = sk.h1.blocks[0], sk.s.blocks[0][0], sk.s_inv.blocks[0][0]
+    m1 = BitVector(TOY.k, RandomStream(b"\x02" * 32).take_bits(TOY.k))
+    assert h.weight <= _SPARSE_MAX_WEIGHT < min(s.weight, s_inv.weight, m1.weight)
+    assert transformed(lambda: h * s)[1] == []
+    assert transformed(lambda: derive_generator(sk.h1))[1] == []
+    assert transformed(lambda: deserialize_secret(serialize_secret(sk)))[1] == []
+    product, transforms = transformed(lambda: s * s_inv)
+    assert sorted(transforms) == sorted([s.row0.value, s_inv.row0.value])
+    assert product == s_inv * s == CirculantBlock.identity(TOY.r)
+    dense_blocks = [b.row0.value for b in pk.sg1.blocks[0] if b.weight > _SPARSE_MAX_WEIGHT]
+    first, transforms = transformed(lambda: pk.sg1.vec_mul(m1))
+    assert sorted(transforms) == sorted(dense_blocks + [m1.value])
+    assert transformed(lambda: pk.sg1.vec_mul(m1)) == (first, [m1.value])
 
 
 def test_blockmatrix_inverse_round_trip(rng):
