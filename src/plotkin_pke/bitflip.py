@@ -75,7 +75,6 @@ import os
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass, fields, is_dataclass
-from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache, partial
 from itertools import zip_longest
 from math import comb, exp, inf, lgamma, log, log1p, sqrt
@@ -559,6 +558,8 @@ def estimate_dfr(params: QcParams, t: int, cfg: DecoderConfig, trials: int,
     if workers <= 1:
         failures = job(0, trials)
     else:
+        from concurrent.futures import ProcessPoolExecutor  # here: a costly import
+
         bounds = [trials * i // workers for i in range(workers + 1)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             failures = sum(pool.map(job, bounds[:-1], bounds[1:]))

@@ -30,21 +30,23 @@ operand against ``_SPARSE_MAX_WEIGHT``.  Up to it (the rows of H) the
 product is one shift-xor per set bit of that operand, always in
 ``_block_dot``: the syndrome, the decoder's updates, and the light pairs
 of ``vec_mul`` and ``CirculantBlock.__mul__``.  Above it (S, S^-1, the
-public generator, the plaintext) it is a real FFT convolution: each
-operand's ``_spectrum``, and ``_pack`` to fold the inverse transform of the
-spectra's product mod x^r - 1 and round it to parities over GF(2).
+public generator, the plaintext) it is a real FFT convolution with two
+coefficients to a point (Kronecker substitution, ``_layout``), so the
+transform is about r long, not 2r: each operand's ``_spectrum``, and
+``_pack`` to round the inverse transform of the spectra's product, read
+the coefficients' parities out of its digits and fold them mod x^r - 1.
 ``BlockMatrix.vec_mul`` keeps the spectra of a matrix's dense blocks from
-first use, so a loaded key's blocks are transformed once, and sums a
-column's spectral products before its one inverse transform: an encrypt
-takes 2 forward and 4 inverse transforms.  ``CirculantBlock.__mul__``
-transforms both blocks of a dense pair, as in ``BlockMatrix.inverse`` at
-k0 >= 2.  Block row i of ``A @ B`` is ``B.vec_mul`` of A's row i.
+first use, so a loaded key's blocks are transformed once, and takes one
+inverse transform per spectral product: an encrypt takes 2 forward and 4
+inverse transforms.  ``CirculantBlock.__mul__`` transforms both blocks of
+a dense pair, as in ``BlockMatrix.inverse`` at k0 >= 2.  Block row i of
+``A @ B`` is ``B.vec_mul`` of A's row i.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -143,17 +145,18 @@ class BitVector:
 # heavier one the spectral product of ``BlockMatrix.vec_mul`` (and its
 # ``_spectra``) or ``CirculantBlock.__mul__``, so every row of H (block weight
 # at most 137 at any preset) stays on the loop.  The bound sits below every
-# crossover: at r = 523 the loop takes 0.04 ms at w = 192 and ties kept spectra
-# near w = 256 (0.055 ms), and a product transforming both operands (0.08 ms)
-# never wins, as the lighter weighs at most about r/2; at r = 11779 the loop
-# takes 0.18 ms and ties kept spectra near w = 800 (0.75 ms), both transformed
-# near w = 1300 (1.3 ms).  Medians of 31 calls against a random row, 2-vCPU VM.
+# crossover: at r = 523 the loop takes 0.065 ms at w = 192 and ties kept
+# spectra near w = 224 (0.075 ms), and a product transforming both operands
+# (0.095 ms) never wins, as the lighter weighs at most about r/2; at r = 11779
+# the loop takes 0.38 ms and ties kept spectra near w = 300 (0.58 ms; 250 to
+# 390 over four runs), both transformed near w = 400 (0.77 ms).  Medians of 101
+# calls, taken in turn against a random row, 2-vCPU VM.
 _SPARSE_MAX_WEIGHT = 192
 
 
 def _fft_size(n: int) -> int:
     """Smallest 2^a 3^b 5^c >= n, a length numpy's FFT runs fast: at a
-    length with a large prime factor, as 2r for every preset r, it falls
+    length with a large prime factor, as r and 2r for every preset r, it falls
     back to Bluestein's algorithm, 20 to 30 times slower."""
     best = 1 << (n - 1).bit_length()
     p5 = 1
@@ -166,25 +169,84 @@ def _fft_size(n: int) -> int:
     return best
 
 
-def _spectrum(a: int, size: int) -> np.ndarray:
-    """Real FFT of a's coefficients, zero-padded to ``size``."""
-    data = np.frombuffer(a.to_bytes((a.bit_length() + 7) // 8, "little"), np.uint8)
-    return np.fft.rfft(np.unpackbits(data, bitorder="little"), size)
+@lru_cache(maxsize=16)
+def _layout(r: int) -> tuple[int, int, np.ndarray]:
+    """(size, b, digits): how a product mod x^r - 1 is transformed.
 
-
-def _pack(spectrum: np.ndarray, size: int, r: int) -> int:
-    """The product mod x^r - 1 whose real FFT at ``size`` is ``spectrum``.
-
-    The inverse transform is the operands' integer convolution, computed in
-    float64; it is folded mod x^r - 1 and rounded, and bit j is the parity
-    of coefficient j.  The rounding error is far below the 1/2 that would
-    flip a bit: at most 2.2e-11 at r = 40597, all-ones times all-ones.  The
-    cast to uint8 wraps modulo 256 and keeps the parity.
+    Kronecker substitution puts two coefficients in one real FFT point:
+    point p of an operand is the digit a_2p + B a_2p+1, with B = 2^b, so
+    the operands' ceil(r/2) points convolve at ``size``, the ``_fft_size``
+    of 2 ceil(r/2) - 1.  Point k of that convolution is d0 + B d1 + B^2 d2:
+    d0 and d2 sum the even-even and odd-odd bit products of coefficients 2k
+    and 2k + 2, at most ceil(r/2) each, and the cross digit d1 those of
+    coefficient 2k + 1, at most 2 ceil(r/2).  B is the least power of two
+    above that (at least 8, for ``_pack``), so no digit carries into the
+    next.  The bound holds for one product, so each product of spectra
+    takes an inverse transform of its own: a sum of two would need B above
+    2r + 2, and at r = 40597 (b = 17) its rounding error reaches 1/2.
+    ``digits[byte]`` holds the four points of one byte of coefficients.
     """
+    half = (r + 1) // 2
+    b = max((2 * half).bit_length(), 3)
+    if b > 16:  # at b = 17 the rounding error reaches 1/2 (``_pack``)
+        raise ValueError(f"r = {r}: two coefficients per float64 point need r <= 65533")
+    bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
+    digits = bits[:, 0::2] + bits[:, 1::2] * float(1 << b)
+    digits.flags.writeable = False  # shared by every caller at this r
+    return _fft_size(2 * half - 1), b, digits
+
+
+def _spectrum(a: int, r: int) -> np.ndarray:
+    """Real FFT of a's points (``_layout``), zero-padded to its size."""
+    size, _, digits = _layout(r)
+    data = np.frombuffer(a.to_bytes((a.bit_length() + 7) // 8, "little"), np.uint8)
+    return np.fft.rfft(digits[data].ravel(), size)
+
+
+# times a little-endian word of four 2-bit codes, one per byte, this puts
+# code i at bits 24 + 2i and every cross term below bit 24 or above bit 31
+_GATHER = np.uint32(1 << 24 | 1 << 18 | 1 << 12 | 1 << 6)
+
+
+def _pack(spectrum: np.ndarray, r: int) -> int:
+    """The product mod x^r - 1 whose real FFT (``_layout``) is ``spectrum``.
+
+    The inverse transform is the points' integer convolution, computed in
+    float64 and rounded.  Bits 0, b and 2b of point k are the parities of
+    coefficients 2k, 2k + 1 and 2k + 2: masked, one multiply moves them to
+    bits p, p + 1 and p + 2 (p = 2b - 2; for b >= 3 every cross term lands
+    on a bit of its own), bit 2b is XORed into bit 0 of point k + 1, and
+    the 2-bit codes are packed four to a byte and folded mod x^r - 1.
+
+    Rounding is exact while the error stays below 1/2.  All-ones times
+    all-ones has the largest points, and max |c - rint(c)| reads 6.0e-8 at
+    r = 523, 4.9e-4 at 11779, 7.8e-3 at 24821 and 0.047 at 40597.
+    Percival's bound (Math. Comp. 2003, Thm. 5.1: for a radix-2 transform
+    of length 2^n >= size, ||x|| ||y|| ((1+e)^3n (1+e sqrt 5)^(3n+1)
+    (1+e)^3n - 1), e = 2^-53 also bounding the twiddle error) gives
+    3.9e-6, 0.032, 0.29 and 1.99 there.  It is loose, 29 to 66 times the
+    measured error at 523 and every preset r, as it adds every rounding
+    error at full size where they mostly cancel.  So it proves the rounding
+    exact at every preset r up to 32749 (0.38), but not at 40597, where
+    exactness rests on the measured margin.  At r = 65533, the last r that
+    ``_layout`` takes, the error reads 0.047; at b = 17 it read 0.32 at
+    r = 65537 and 0.5, with wrong parities, at 100003.
+    """
+    size, b, _ = _layout(r)
     c = np.fft.irfft(spectrum, size)
-    c[: r - 1] += c[r : 2 * r - 1]
-    bits = np.rint(c[:r]).astype(np.int64).astype(np.uint8) & 1
-    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+    m = (r + 1) // 2 * 2 - 1  # points of the convolution
+    n = np.zeros((m + 4) // 4 * 4, np.int64)  # a point to spare, whole words of codes
+    np.add(c[:m], 0.5, out=n[:m], casting="unsafe")  # rounds, as c > -1/2
+    p = 2 * b - 2
+    n &= 1 | 1 << b | 1 << 2 * b
+    n *= 1 << p | 1 << p + 1 - b | 1 << p + 2 - 2 * b  # wraps mod 2^64 above bit p + 2
+    n >>= p
+    low = n.astype(np.uint8)
+    codes = low & 3
+    codes[1:] ^= low[:-1] >> 2 & 1
+    packed = (codes.view("<u4") * _GATHER >> 24).astype(np.uint8)
+    x = int.from_bytes(packed.tobytes(), "little")
+    return (x & (1 << r) - 1) ^ (x >> r)
 
 
 def _block_dot(y: int, rows: list[int], r: int, blocks: int | None = None,
@@ -307,8 +369,7 @@ class CirculantBlock:
             raise ValueError("block size mismatch")
         r, a, b = self.r, self.row0.value, other.row0.value
         if a.bit_count() > _SPARSE_MAX_WEIGHT and b.bit_count() > _SPARSE_MAX_WEIGHT:
-            size = _fft_size(2 * r - 1)
-            product = _pack(_spectrum(a, size) * _spectrum(b, size), size, r)
+            product = _pack(_spectrum(a, r) * _spectrum(b, r), r)
         else:
             product = _block_dot(a, [b], r)
         return CirculantBlock(r, BitVector(r, product))
@@ -383,14 +444,12 @@ class BlockMatrix:
         return BlockMatrix(tuple(rows))
 
     @cached_property
-    def _spectra(self) -> tuple[int, dict[tuple[int, int], np.ndarray]]:
-        """(size, spectra): ``_spectrum`` at ``size = _fft_size(2r - 1)`` of
-        every block (i, j) heavier than ``_SPARSE_MAX_WEIGHT``.  Made on the
-        first ``vec_mul`` and kept, since blocks never change; equality,
-        hashing and pickles ignore it."""
-        size = _fft_size(2 * self.r - 1)
-        return size, {
-            (i, j): _spectrum(b.row0.value, size)
+    def _spectra(self) -> dict[tuple[int, int], np.ndarray]:
+        """The ``_spectrum`` of every block (i, j) heavier than
+        ``_SPARSE_MAX_WEIGHT``.  Made on the first ``vec_mul`` and kept, since
+        blocks never change; equality, hashing and pickles ignore it."""
+        return {
+            (i, j): _spectrum(b.row0.value, self.r)
             for i, row in enumerate(self.blocks)
             for j, b in enumerate(row)
             if b.weight > _SPARSE_MAX_WEIGHT
@@ -406,28 +465,25 @@ class BlockMatrix:
         A product of two blocks heavier than ``_SPARSE_MAX_WEIGHT`` is a
         product of spectra: each such block of v is transformed once per
         call, this matrix's blocks once in its life (``_spectra``), and each
-        output block takes one inverse transform of its summed products,
-        folded mod x^r - 1.  Every other product goes through ``_block_dot``.
+        such product takes one inverse transform (``_pack``).  Every other
+        product goes through ``_block_dot``.
         """
         r = self.r
         if v.length != self.block_rows * r:
             raise ValueError("vector length mismatch")
         mask = (1 << r) - 1
         parts = [v.value >> i * r & mask for i in range(self.block_rows)]
-        size, spectra = self._spectra
-        transformed = {i: _spectrum(y, size) for i, y in enumerate(parts)
+        spectra = self._spectra
+        transformed = {i: _spectrum(y, r) for i, y in enumerate(parts)
                        if y.bit_count() > _SPARSE_MAX_WEIGHT}
         out = 0
         for j in range(self.block_cols):
-            rest, total = v.value, None
+            rest, word = v.value, 0
             for i, f in transformed.items():
                 if (i, j) in spectra:
-                    product = f * spectra[i, j]
-                    total = product if total is None else total + product
+                    word ^= _pack(f * spectra[i, j], r)
                     rest ^= parts[i] << i * r
-            word = _block_dot(rest, [row[j].row0.value for row in self.blocks], r)
-            if total is not None:
-                word ^= _pack(total, size, r)
+            word ^= _block_dot(rest, [row[j].row0.value for row in self.blocks], r)
             out |= word << j * r
         return BitVector(self.block_cols * r, out)
 

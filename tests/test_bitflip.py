@@ -647,10 +647,11 @@ def test_estimate_dfr_caps_workers(monkeypatch):
 
         map = staticmethod(map)
 
-    monkeypatch.setattr("plotkin_pke.bitflip.ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     cfg = classic_bf_config()
     capped = estimate_dfr(TOY_LDPC, 2, cfg, 6, RandomStream(b"\x06" * 32), workers=10**6)
     assert all(w <= min(6, os.cpu_count() or 1) for w in built)
+    assert built or (os.cpu_count() or 1) == 1  # the stand-in, not a real pool, ran
     assert capped == estimate_dfr(TOY_LDPC, 2, cfg, 6, RandomStream(b"\x06" * 32), workers=1)
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle
-from plotkin_pke import dense, gf2, preset
+from plotkin_pke import PRESETS, dense, gf2, preset
 from plotkin_pke.gf2 import (
     BitVector,
     BlockMatrix,
@@ -231,6 +231,45 @@ def test_dense_products_pinned_digest(make_rng):
     assert h.hexdigest() == "09bd89176d7a499e2c7137cfb9e9cad0025e5eecda4098b58712f7a9daaf6a6e"
 
 
+@pytest.mark.parametrize("r", [523, 11779, 40597])
+def test_vec_mul_sums_dense_products(make_rng, monkeypatch, r):
+    # every output block of a 2 x 2 matrix sums two spectral products, all
+    # of them all-ones x all-ones, whose digits are the largest; a cross
+    # digit of one product reaches r + 1, of two 2r + 2.  The second vector
+    # makes the sums nonzero
+    monkeypatch.setattr(gf2, "_SPARSE_MAX_WEIGHT", 0)
+    ones = (1 << r) - 1
+    block = CirculantBlock(r, BitVector(r, ones))
+    grid = BlockMatrix(((block, block), (block, block)))
+    for y in ((ones, ones), (ones, make_rng(r).take_bits(r) | 1)):
+        want = setbit_mul(y[0], ones, r) ^ setbit_mul(y[1], ones, r)
+        got = grid.vec_mul(BitVector(2 * r, y[0] | y[1] << r))
+        assert got.value == want | want << r
+
+
+@pytest.mark.parametrize("r", sorted({523, 65533} | {p.r for p in PRESETS.values()}))
+def test_rounding_margin_at_preset_sizes(r):
+    # all-ones x all-ones has the largest points, so the largest rounding
+    # error of the inverse transform: it stays far below the 1/2 that would
+    # flip a parity, at every preset r and at the largest r products take
+    ones = (1 << r) - 1
+    square = gf2._spectrum(ones, r) ** 2
+    c = np.fft.irfft(square, gf2._layout(r)[0])
+    assert np.abs(c - np.rint(c)).max() <= 1 / 8
+    assert gf2._pack(square, r) == ones  # r odd: every coefficient is r
+
+
+def test_dense_products_refuse_r_beyond_the_rounding_margin():
+    # past r = 65533 the digit base grows to 2^17 and the rounding error to
+    # 1/2: a dense product raises instead of rounding wrong, a light one
+    # stays on the set-bit loop
+    r = 65535
+    ones = CirculantBlock(r, BitVector(r, (1 << r) - 1))
+    with pytest.raises(ValueError, match="65533"):
+        ones * ones
+    assert ones * CirculantBlock.identity(r) == ones
+
+
 # the ids end in the cut-off, 192, that these cases ran under beside a
 # cut-off of 0, which sent them through a spectral route ``_block_dot`` no
 # longer has
@@ -437,7 +476,7 @@ def test_transforms_per_product(monkeypatch):
     pk, sk = keygen(TOY, RandomStream(b"\x01" * 32))
     seen = []
     spectrum = gf2._spectrum
-    monkeypatch.setattr(gf2, "_spectrum", lambda a, size: seen.append(a) or spectrum(a, size))
+    monkeypatch.setattr(gf2, "_spectrum", lambda a, r: seen.append(a) or spectrum(a, r))
 
     def transformed(fn):
         seen.clear()
