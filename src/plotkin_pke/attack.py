@@ -17,10 +17,11 @@ demo pipeline:
 
 Both decodes fail: c2 carries the first coordinate's codeword as "noise",
 and c1 + c2 still carries z1 + z2 + mask(z1), a vector of weight about
-n/2 by construction of the mask.  The report records the recovered row,
-both decode outcomes, the residual weight, and whether any plaintext was
+n/2 by construction of the mask.  The report records, per ciphertext, both
+decode outcomes, the residual weight, and whether any plaintext was
 actually recovered (checked against the true plaintext, which the demo
-receives as an oracle precisely to certify failure).
+receives as an oracle precisely to certify failure); the per-key facts, the
+recovered row and the Stern restarts, stay in ``RecoveredDual``.
 """
 
 from __future__ import annotations
@@ -48,14 +49,6 @@ class RecoveredDual:
 
 @dataclass(frozen=True)
 class AttackReport:
-    n0: int
-    r: int
-    w2: int
-    row_found: bool  # always true, like ``orthogonal``: the demo is given a row
-    recovered_row_weight: int
-    orthogonal: bool
-    rotations_complete: bool
-    stern_iterations: int
     direct_decode_success: bool
     direct_decode_iterations: int
     combined_decode_success: bool
@@ -149,14 +142,6 @@ def weak_key_attack_demo(
         return bool(outcome.success and outcome.codeword == true_codeword)
 
     return AttackReport(
-        n0=params.n0,
-        r=params.r,
-        w2=params.w2,
-        row_found=True,
-        recovered_row_weight=recovered.row.weight,
-        orthogonal=True,
-        rotations_complete=recovered.complete,
-        stern_iterations=recovered.iterations,
         direct_decode_success=bool(direct.success),
         direct_decode_iterations=direct.iterations,
         combined_decode_success=bool(combined.success),

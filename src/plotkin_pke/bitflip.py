@@ -83,7 +83,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .gf2 import BitVector, _block_dot, sample_fixed_weight
-from .qc import QcParams, QcParityCheck, sample_parity_check, syndrome
+from .qc import QcParams, QcParityCheck, _transposed_rows, sample_parity_check, syndrome
 from .rng import RandomStream, derive_substream_seed, substream
 
 VARIANTS = ("classic-bf", "backflip")
@@ -149,7 +149,7 @@ class _CountPlan(NamedTuple):
 
 def _count_plan(h: QcParityCheck, blocks: int) -> _CountPlan:
     """The per-decode set-up: the rotations of the upc count and the rows of
-    H^T with their supports, from one walk over H's row supports.
+    H^T with their supports.
 
     Row i of H^T has support t = r - u mod r, u in supp(h_i) (the syndrome
     fold takes x^r to 1).  Bit j of block i sits in the checks j + t mod r,
@@ -162,20 +162,13 @@ def _count_plan(h: QcParityCheck, blocks: int) -> _CountPlan:
     every block (see ``_count_words``).  Blocks 0 and 1 share one expression
     per word, so a lighter one of them is padded: a right shift past every
     lane, or a left shift masked by 0, each giving 0.  The packed rows of
-    H^T are ORed from the same supports, which the syndrome updates walk
-    too (``gf2._block_dot``).  ``blocks`` is the r-bit mask at the foot of
-    every lane (see the module docstring); a lane is n >= 2r bits wide, so
-    no slice reaches the next.
+    H^T are those ``qc.syndrome`` reads (``qc._transposed_rows``); the
+    syndrome updates walk their supports (``gf2._block_dot``).  ``blocks``
+    is the r-bit mask at the foot of every lane (see the module docstring);
+    a lane is n >= 2r bits wide, so no slice reaches the next.
     """
     r = h.params.r
-    h_t_supports, h_t_rows = [], []
-    for block in h.blocks:
-        t_supp = [r - u for u in block.row0.support()]
-        row = 0
-        for t in t_supp:
-            row |= 1 << t % r
-        h_t_supports.append(t_supp)
-        h_t_rows.append(row)
+    h_t_supports = [[r - u for u in block.row0.support()] for block in h.blocks]
     words = max(map(len, h_t_supports))
     pad0, pad1 = (words - len(t_supp) for t_supp in h_t_supports[:2])
     pairs = [*zip(h_t_supports[0] + [sys.maxsize] * pad0,
@@ -183,7 +176,7 @@ def _count_plan(h: QcParityCheck, blocks: int) -> _CountPlan:
                   [blocks << r] * (words - pad1) + [0] * pad1)]
     others = [(blocks << i * r, [i * r - t for t in t_supp])
               for i, t_supp in enumerate(h_t_supports[2:], 2)]
-    return _CountPlan(r, blocks, pairs, others, h_t_rows, h_t_supports)
+    return _CountPlan(r, blocks, pairs, others, _transposed_rows(h), h_t_supports)
 
 
 def _count_words(s: int, plan: _CountPlan) -> list[int]:

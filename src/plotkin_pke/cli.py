@@ -2,8 +2,9 @@
 
 Subcommands: keygen, encrypt, decrypt, dfr, estimate, attack-demo.
 Results go to stdout as JSON, diagnostics to stderr.  attack-demo runs one
-Stern search; when it finds no row there is nothing to attack the samples
-with, so it reports ``samples: []``.  Exit codes:
+Stern search and prints its per-key facts once; each sample holds what one
+ciphertext's attack did.  When the search finds no row there is nothing to
+attack the samples with, so it reports ``samples: []``.  Exit codes:
 
     0  success
     2  bad parameters, malformed or unreadable files, unwritable outputs,
@@ -47,26 +48,40 @@ EXIT_GENERATION = 3
 EXIT_DECRYPT = 4
 
 
-def _atomic_write(path: str, data: bytes) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+def _atomic_write(outputs: dict[str, tuple[str, bytes]]) -> None:
+    """Write each flag's (path, data) through a temp file beside the path.
+    Every temp file is written before any replaces its path, so an output
+    that cannot be staged leaves no file, new or temporary, behind."""
+    staged = []
     try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-        os.replace(tmp, path)
+        for flag, (path, data) in outputs.items():
+            try:
+                fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                           prefix=".tmp-", suffix=".part")
+            except OSError as exc:
+                raise OSError(f"{flag} {path}: {exc.strerror}") from None
+            staged.append((tmp, path))
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(data)
+        for tmp, path in staged:
+            os.replace(tmp, path)
     except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+        for tmp, _ in staged:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
         raise
 
 
 def _refuse_overwrite(inputs: dict[str, str], outputs: dict[str, str]) -> None:
-    """Refuse, before any file is read or written, an output path that names
-    an input or another output; paths are compared as real paths."""
+    """Refuse, before any file is read or written, an output path that is a
+    directory or names an input or another output; paths are compared as
+    real paths."""
     seen = {os.path.realpath(path): flag for flag, path in inputs.items()}
     for flag, path in outputs.items():
+        if os.path.isdir(path):
+            raise ValueError(f"{flag} {path} is a directory")
         other = seen.setdefault(os.path.realpath(path), flag)
         if other != flag:
             raise ValueError(f"{flag} names the same file as {other}")
@@ -124,8 +139,8 @@ def _cmd_keygen(args) -> int:
     wire.header_bytes(params)  # rejects what the header cannot carry, before keygen
     rng = RandomStream(_parse_seed(args.seed))
     pk, sk = keygen(params, rng)
-    _atomic_write(args.pub, wire.serialize_public(pk))
-    _atomic_write(args.sec, wire.serialize_secret(sk))
+    _atomic_write({"--pub": (args.pub, wire.serialize_public(pk)),
+                   "--sec": (args.sec, wire.serialize_secret(sk))})
     _print({
         "preset": args.preset,
         "n0": params.n0,
@@ -145,7 +160,7 @@ def _cmd_encrypt(args) -> int:
     message = wire.unpack_plaintext(_read(args.input), pk.params)
     rng = RandomStream(_parse_seed(args.seed))
     ct = encrypt(pk, message, rng)
-    _atomic_write(args.output, wire.serialize_ciphertext(ct))
+    _atomic_write({"--out": (args.output, wire.serialize_ciphertext(ct))})
     _print({
         "plaintextBits": pk.params.plaintext_bits,
         "ciphertextBits": pk.params.ciphertext_bits,
@@ -159,7 +174,7 @@ def _cmd_decrypt(args) -> int:
     sk = wire.deserialize_secret(_read(args.sec))
     ct = wire.deserialize_ciphertext(_read(args.input))
     message = decrypt(sk, ct)
-    _atomic_write(args.output, wire.pack_plaintext(message))
+    _atomic_write({"--out": (args.output, wire.pack_plaintext(message))})
     _print({
         "plaintextBits": sk.params.plaintext_bits,
         "plaintextFile": args.output,
@@ -252,6 +267,7 @@ def _cmd_attack_demo(args) -> int:
         "rowFound": recovered is not None,
         "recoveredRowWeight": None if recovered is None else recovered.row.weight,
         "rotationsComplete": False if recovered is None else recovered.complete,
+        "sternIterations": args.stern_iterations if recovered is None else recovered.iterations,
         "samples": reports,
         "anyPlaintextRecovered": any(rep["attackSucceeded"] for rep in reports),
     })

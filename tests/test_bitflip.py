@@ -542,6 +542,9 @@ def test_syndrome_update_walks_transposed_support():
             blocks = sum(((1 << r) - 1) << lane * n for lane in range(lanes))
             plan = bitflip._count_plan(h, blocks)
             assert plan.h_t_rows == rows
+            # the supports the walk reads are those of the rows, r for 0
+            assert [sum(1 << t % r for t in supp) for supp in plan.h_t_supports] == rows
+            assert all(0 < t <= r for supp in plan.h_t_supports for t in supp)
             for pick in (lambda w: 0, lambda w: 1, lambda w: w - 1, lambda w: w,
                          lambda w: w + 1, lambda w: lanes * r // 2):
                 for _ in range(3):

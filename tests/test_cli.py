@@ -236,6 +236,26 @@ def test_directory_as_decrypt_output_exits_2(keydir, tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ct.bin", "out"]  # no temp file left
 
 
+@pytest.mark.parametrize("route", ["missing directory", "directory"])
+def test_keygen_writes_no_half_key_pair(tmp_path, capsys, route):
+    # a --sec that cannot be written leaves no --pub and no temp file, and
+    # the error names the path given, not a temp file
+    sec = tmp_path / "nope" / "sk" if route == "missing directory" else tmp_path / "sk"
+    if route == "directory":
+        sec.mkdir()
+    before = sorted(p.name for p in tmp_path.iterdir())
+    code, out, err = _run(capsys, [
+        "keygen", "--preset", "toy", "--pub", str(tmp_path / "pk"), "--sec", str(sec),
+        "--seed", SEED_A,
+    ])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "--sec" in err and str(sec) in err
+    assert ".tmp-" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    assert not (tmp_path / "pk").exists()
+
+
 CLI_FILES = {
     "keygen": {"--pub": "pk.bin", "--sec": "sk.bin"},
     "encrypt": {"--pub": "pk.bin", "--in": "msg.bin", "--out": "ct.bin"},
@@ -429,9 +449,14 @@ def test_attack_demo_json(capsys):
     record = json.loads(out)
     assert record["rowFound"] is True
     assert record["recoveredRowWeight"] == LAB.w2
+    assert 1 <= record["sternIterations"] <= 500
     assert len(record["samples"]) == 2
     assert record["anyPlaintextRecovered"] is False
-    for sample in record["samples"]:
+    for sample in record["samples"]:  # the key's facts are printed once, above
+        assert set(sample) == {
+            "directDecodeSuccess", "directDecodeIterations", "combinedDecodeSuccess",
+            "combinedDecodeIterations", "residualWeight", "attackSucceeded",
+        }
         assert sample["attackSucceeded"] is False
 
 
@@ -450,6 +475,7 @@ def test_attack_demo_without_a_row_runs_one_search(capsys, monkeypatch):
     assert calls == [5]
     record = json.loads(out)
     assert record["rowFound"] is False
+    assert record["sternIterations"] == 5  # the whole budget, spent
     assert record["samples"] == []
 
 

@@ -7,8 +7,10 @@ import pytest
 
 import oracle
 from plotkin_pke import dense, preset, wire
-from plotkin_pke.gf2 import BitVector, sample_fixed_weight
-from plotkin_pke.rng import RandomStream
+from plotkin_pke.attack import systematic_public_generator
+from plotkin_pke.gf2 import BitVector, BlockMatrix, sample_fixed_weight
+from plotkin_pke.qc import derive_generator
+from plotkin_pke.rng import RandomStream, substream
 from plotkin_pke.scheme import (
     Ciphertext,
     DecryptionFailure,
@@ -244,6 +246,42 @@ def test_s_scrambling_transparency(make_rng):
     codeword = pk.sg1.vec_mul(m1)
     assert codeword.slice(0, TOY.k) == sk.s.vec_mul(m1)
     assert sk.s_inv.vec_mul(codeword.slice(0, TOY.k)) == m1
+
+
+# --- what the public scrambler shows -----------------------------------------
+
+
+def _public_scrambler(sg: BlockMatrix, params: SchemeParams) -> BlockMatrix:
+    return BlockMatrix(tuple(row[:params.k0] for row in sg.blocks))
+
+
+def test_public_key_shows_the_scrambler_and_the_ldpc_code():
+    # SG = [S | S A] with the systematic generator [I | A], so the left
+    # k0 x k0 blocks of both public generators are S itself, and S^-1 SG2
+    # is the secret ldpc code's own generator
+    for i in range(3):
+        pk, sk = keygen(TOY, substream(b"\x3f" * 32, i))
+        assert _public_scrambler(pk.sg1, TOY) == sk.s
+        assert _public_scrambler(pk.sg2, TOY) == sk.s
+        expect = dense.expand_block_matrix(derive_generator(sk.h2))
+        assert np.array_equal(systematic_public_generator(pk), expect)
+
+
+def test_public_scrambler_tells_which_plaintext_was_encrypted():
+    # c1's first k bits are m1 S + z1's first k bits: the plaintext that
+    # was encrypted lies within t1 of them, any other about k / 2 away,
+    # so the scheme is not IND-CPA (nor is textbook McEliece)
+    for i in range(3):
+        rng = substream(b"\x40" * 32, i)
+        pk, _ = keygen(TOY, rng)
+        s = _public_scrambler(pk.sg1, TOY)
+        for _ in range(20):
+            right, wrong = (BitVector(TOY.plaintext_bits, rng.take_bits(TOY.plaintext_bits))
+                            for _ in range(2))
+            head = encrypt(pk, right, rng).c1.slice(0, TOY.k)
+            right_distance, wrong_distance = (
+                (s.vec_mul(m.slice(0, TOY.k)) ^ head).weight for m in (right, wrong))
+            assert right_distance <= TOY.t1 < wrong_distance
 
 
 # --- mask ------------------------------------------------------------------------
