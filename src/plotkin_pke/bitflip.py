@@ -25,17 +25,19 @@ is bit k of the count at position j), and backflip's ttl is an expiry
 schedule, one int per coming pass holding the flips due then.  The counts
 are summed bit-sliced over rotations of s (Drucker-Gueron, "A toolbox for
 software optimization of QC-MDPC code-based cryptosystems", J. Cryptogr.
-Eng. 2019).  The rotations follow a plan built once per decode
-(``_count_plan``): count word m ORs the m-th rotation into every block, and
-a bit's count is the number of words holding it.  A carry-save tree sums
-the words into planes: each full adder takes three words and returns a sum
-and a carry, a fixed five word operations.  It is carry-save rather than a
-ripple counter because at large r some bit carries on every add, so a
-ripple counter walks every plane each time: at r = 11779 and block weight
-71, on a 2-vCPU x86 machine, it took 363 us per count against 207 us for
-the tree.  The tree runs once per pass.  Backflip's undo test needs only
-"count > 0", which is the OR of the words, so a pass that undoes flips
-builds the words again for the moved syndrome and sums only those.
+Eng. 2019).  The rotations follow a plan built once per parity check, on
+its first decode, and kept on it (``_count_plan``, ``_kept_plan``); a
+decode builds only its lanes' masks.  Count word m ORs the m-th rotation
+into every block, and a bit's count is the number of words holding it.  A
+carry-save tree sums the words into planes: each full adder takes three
+words and returns a sum and a carry, a fixed five word operations.  It is
+carry-save rather than a ripple counter because at large r some bit
+carries on every add, so a ripple counter walks every plane each time: at
+r = 11779 and block weight 71, on a 2-vCPU x86 machine, it took 363 us per
+count against 207 us for the tree.  The tree runs once per pass.
+Backflip's undo test needs only "count > 0", which is the OR of the words,
+so a pass that undoes flips builds the words again for the moved syndrome
+and sums only those.
 Thresholds become a bit-sliced ``count >= bound`` comparator, the maximum
 count a scan from the top plane down, and the flip set an int.  A flip or
 undo moves s by its product with the rows of H^T, whose supports the plan's
@@ -76,14 +78,13 @@ import sys
 from bisect import bisect_right
 from dataclasses import dataclass, fields, is_dataclass
 from functools import lru_cache, partial
-from itertools import zip_longest
 from math import comb, exp, inf, lgamma, log, log1p, sqrt
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .gf2 import BitVector, _block_dot, sample_fixed_weight
-from .qc import QcParams, QcParityCheck, _transposed_rows, sample_parity_check, syndrome
+from .qc import QcParams, QcParityCheck, sample_parity_check, syndrome
 from .rng import RandomStream, derive_substream_seed, substream
 
 VARIANTS = ("classic-bf", "backflip")
@@ -135,58 +136,83 @@ class DecodeOutcome:
 
 
 class _CountPlan(NamedTuple):
-    """What a decode reads of H, built once per decode (``_count_plan``)."""
+    """What a decode reads of H whatever its lanes: built once per parity
+    check (``_count_plan``) and kept on it (``_kept_plan``)."""
 
     r: int
-    blocks: int  # the r-bit mask at the foot of every lane
-    # per count word: the right shift onto block 0, the left shift and
-    # mask onto block 1
-    pairs: list[tuple[int, int, int]]
-    others: list[tuple[int, list[int]]]  # mask and left shifts onto block i, i >= 2
+    weights: tuple[int, ...]  # the column weight of each block
+    # per count word that block 1 reaches: the right shift onto block 0 and
+    # the left shift onto block 1
+    pairs: list[tuple[int, int]]
+    heads: list[int]  # the right shifts onto block 0 of the words past block 1's
+    others: list[list[int]]  # left shifts onto block i, i >= 2
     h_t_rows: list[int]  # first row of each H_i^T, packed
     h_t_supports: list[list[int]]  # their supports, r standing for 0
 
 
-def _count_plan(h: QcParityCheck, blocks: int) -> _CountPlan:
-    """The per-decode set-up: the rotations of the upc count and the rows of
-    H^T with their supports.
+def _count_plan(h: QcParityCheck) -> _CountPlan:
+    """The rotations of the upc count and the rows of H^T with their
+    supports: everything a decode reads of H but its lanes' masks.
 
     Row i of H^T has support t = r - u mod r, u in supp(h_i) (the syndrome
     fold takes x^r to 1).  Bit j of block i sits in the checks j + t mod r,
     so its count adds one rotation of s per t: bits t to t + r - 1 of the
     doubled syndrome s2 = s | s << r, moved onto block i, that is shifted
     right by t (block 0) or left by i r - t (the other blocks) and masked
-    to the block.  The plan holds those shifts and masks, so no shift is
-    left to work out per pass.  There are as many count words as the
-    heaviest block has rotations, and word m takes the m-th rotation of
-    every block (see ``_count_words``).  Blocks 0 and 1 share one expression
-    per word, so a lighter one of them is padded: a right shift past every
-    lane, or a left shift masked by 0, each giving 0.  The packed rows of
-    H^T are those ``qc.syndrome`` reads (``qc._transposed_rows``); the
-    syndrome updates walk their supports (``gf2._block_dot``).  ``blocks``
-    is the r-bit mask at the foot of every lane (see the module docstring);
-    a lane is n >= 2r bits wide, so no slice reaches the next.
+    to the block.  The plan holds those shifts, so no shift is left to work
+    out per pass, and ``_block_masks`` the masks.  There are as many count
+    words as the heaviest block has rotations, and word m takes the m-th
+    rotation of every block (see ``_count_words``).  Block 0 is padded to
+    that many by a right shift past every lane, which gives 0.  The packed
+    rows of H^T are those ``qc.syndrome`` reads (``QcParityCheck._h_t_rows``);
+    the syndrome updates walk their supports (``gf2._block_dot``).
     """
     r = h.params.r
     h_t_supports = [[r - u for u in block.row0.support()] for block in h.blocks]
-    words = max(map(len, h_t_supports))
-    pad0, pad1 = (words - len(t_supp) for t_supp in h_t_supports[:2])
-    pairs = [*zip(h_t_supports[0] + [sys.maxsize] * pad0,
-                  [r - t for t in h_t_supports[1]] + [0] * pad1,
-                  [blocks << r] * (words - pad1) + [0] * pad1)]
-    others = [(blocks << i * r, [i * r - t for t in t_supp])
-              for i, t_supp in enumerate(h_t_supports[2:], 2)]
-    return _CountPlan(r, blocks, pairs, others, _transposed_rows(h), h_t_supports)
+    weights = tuple(map(len, h_t_supports))
+    heads = h_t_supports[0] + [sys.maxsize] * (max(weights) - weights[0])
+    pairs = [*zip(heads, [r - t for t in h_t_supports[1]])]
+    others = [[i * r - t for t in t_supp] for i, t_supp in enumerate(h_t_supports[2:], 2)]
+    return _CountPlan(r, weights, pairs, heads[len(pairs):], others, h._h_t_rows, h_t_supports)
 
 
-def _count_words(s: int, plan: _CountPlan) -> list[int]:
+def _kept_plan(h: QcParityCheck) -> _CountPlan:
+    """h's ``_count_plan``, built on the first decode against h and kept in
+    h's own dict as a ``cached_property`` keeps its value, so it lives as
+    long as h; ``QcParityCheck`` leaves it out of equality, hashing and
+    pickles."""
+    kept = vars(h)
+    plan = kept.get("_count_plan")
+    if plan is None:
+        plan = kept["_count_plan"] = _count_plan(h)
+    return plan
+
+
+_BlockMasks = tuple[int, int, list[tuple[int, list[int]]]]
+
+
+def _block_masks(plan: _CountPlan, blocks: int) -> _BlockMasks:
+    """The masks of a pass's count words: block 0's, the r-bit mask at the
+    foot of every lane (``blocks``, see the module docstring), block 1's,
+    and each later block's with its ``_count_plan`` shifts, block i's mask
+    being ``blocks`` shifted up by i r.  A lane is n >= 2r bits wide, so no
+    rotation reaches the next."""
+    r = plan.r
+    others = [(blocks << i * r, shifts) for i, shifts in enumerate(plan.others, 2)]
+    return blocks, blocks << r, others
+
+
+def _count_words(s: int, plan: _CountPlan, masks: _BlockMasks) -> list[int]:
     """The count words of syndrome s: word m ORs the m-th ``_count_plan``
-    rotation of every block.  Each bit's upc count is the number of words
-    holding it, and the bits whose count is nonzero are the OR of the
-    words."""
+    rotation of every block, masked by its ``_block_masks``.  Each bit's upc
+    count is the number of words holding it, and the bits whose count is
+    nonzero are the OR of the words."""
     s2 = s | s << plan.r
-    words = [s2 >> a & plan.blocks | s2 << b & mask for a, b, mask in plan.pairs]
-    for mask, shifts in plan.others:
+    blocks, mask, others = masks
+    words = [s2 >> a & blocks | s2 << b & mask for a, b in plan.pairs]
+    if plan.heads:
+        words += [s2 >> a & blocks for a in plan.heads]
+    for mask, shifts in others:
         words[:len(shifts)] = [word | s2 << shift & mask for word, shift in zip(words, shifts)]
     return words
 
@@ -198,13 +224,16 @@ def _carry_save(words: list[int]) -> list[int]:
     planes = []
     while words:  # every word weighs 2 ** len(planes)
         total, carries = words[0], []
-        for a, b in zip(words[1::2], words[2::2]):  # full adder: sum stays, carry moves up
+        i, last = 1, len(words) - 1
+        while i < last:  # full adder: sum stays, carry moves up
+            a, b = words[i], words[i + 1]
             x = total ^ a
             carries.append((total & a) | (x & b))
             total = x ^ b
-        if len(words) % 2 == 0:  # half adder for the last word
-            carries.append(total & words[-1])
-            total ^= words[-1]
+            i += 2
+        if i == last:  # half adder for the last word
+            carries.append(total & words[last])
+            total ^= words[last]
         planes.append(total)
         words = carries
     return planes
@@ -222,10 +251,23 @@ def _at_least(planes: list[int], bounds: tuple[int, ...], within: int) -> int:
     """Bit-sliced comparator: the bits of ``within`` whose count is at least
     their bound, both given as bit planes.  It scans from the top plane
     down, keeping the bits already greater (gt) and those equal so far (eq).
-    No ``~``: on a long int that costs a two's-complement round trip."""
+    Above the shorter side's top plane that side is 0, so those planes come
+    first and take one operation each: a count plane only adds the bits of
+    eq it holds to gt (eq need not drop them, as a bit of gt is in the
+    result whatever eq holds), and a bound plane only clears its bits from
+    eq.  No ``~``: on a long int that costs a two's-complement round trip."""
     gt, eq = 0, within
-    for c, b in reversed([*zip_longest(planes, bounds, fillvalue=0)]):
-        differ = eq & (c ^ b)
+    i, k = len(planes), len(bounds)
+    while i > k:
+        i -= 1
+        gt |= eq & planes[i]
+    while k > i:
+        k -= 1
+        eq ^= eq & bounds[k]
+    while i:
+        i -= 1
+        c = planes[i]
+        differ = eq & (c ^ bounds[i])
         gt |= differ & c
         eq ^= differ
     return gt | eq
@@ -268,20 +310,25 @@ def _ttl_bounds(thresholds: tuple[int, ...], weights: tuple[int, ...], r: int,
                  for v in range(1, levels + 1))
 
 
-def _ttl_levels(upc: list[int], bounds: tuple[tuple[int, ...], ...], fresh: int) -> list[int]:
-    """The fresh flips grouped by ttl, entry v - 1 holding those of ttl v: one
-    comparator per level reached gives ge[v - 1], the flips of ttl >= v, from
-    the ``_ttl_bounds`` of level v, and a level is ge[v - 1] less ge[v]."""
-    ge = [fresh]
-    while len(ge) < TTL_SATURATION and ge[-1]:
-        ge.append(_at_least(upc, bounds[len(ge)], ge[-1]))
-    return [level ^ above for level, above in zip(ge, ge[1:] + [0])]
+def _ttl_levels(upc: list[int], bounds: tuple[tuple[int, ...], ...], fresh: int,
+                expiry: list[int], done: int) -> None:
+    """Put the fresh flips of pass ``done`` into their ``expiry`` slots, a
+    flip of ttl v into slot (done + v) % TTL_SATURATION.  One comparator per
+    level reached gives the flips of ttl >= v + 1 from those of ttl >= v and
+    the ``_ttl_bounds`` of level v + 1; level v is the difference, ORed into
+    its slot as it is found."""
+    ge, v = fresh, 1
+    while ge:
+        above = _at_least(upc, bounds[v], ge) if v < TTL_SATURATION else 0
+        expiry[(done + v) % TTL_SATURATION] |= ge ^ above
+        ge, v = above, v + 1
 
 
 def upc_profile(h: QcParityCheck, word: BitVector) -> np.ndarray:
     """Unsatisfied-check count for every bit position, as an int array."""
     n, r = h.params.n, h.params.r
-    planes = _carry_save(_count_words(syndrome(h, word).value, _count_plan(h, (1 << r) - 1)))
+    plan, s = _kept_plan(h), syndrome(h, word).value
+    planes = _carry_save(_count_words(s, plan, _block_masks(plan, (1 << r) - 1)))
     upc = np.zeros(n, dtype=np.int32)
     for k, plane in enumerate(planes):
         raw = np.frombuffer(plane.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
@@ -319,9 +366,9 @@ def decode_many(h: QcParityCheck, words: Sequence[BitVector],
     masks = [full << lane * n for lane in range(lanes)]
     within = (1 << lanes * n) - 1  # the masks of the lanes still decoding
     blocks = within // full * ((1 << r) - 1)  # the r bits at the foot of every lane
-    plan = _count_plan(h, blocks)
-    h_t_rows, h_t_supports = plan.h_t_rows, plan.h_t_supports
-    weights = tuple(map(len, h_t_supports))
+    plan = _kept_plan(h)
+    block_masks = _block_masks(plan, blocks)
+    h_t_rows, h_t_supports, weights = plan.h_t_rows, plan.h_t_supports, plan.weights
     s = _block_dot(y, h_t_rows, r, blocks, h_t_supports)
     e = 0
     spent = [cfg.max_iters] * lanes  # the iterations each lane took
@@ -346,7 +393,7 @@ def decode_many(h: QcParityCheck, words: Sequence[BitVector],
                 within ^= bits
         if not within or done == cfg.max_iters:
             break
-        count = _count_words(s, plan)
+        count = _count_words(s, plan, block_masks)
         if pending:
             slot = done % TTL_SATURATION
             expired, expiry[slot] = expiry[slot], 0
@@ -354,7 +401,7 @@ def decode_many(h: QcParityCheck, words: Sequence[BitVector],
             if undo:
                 e ^= undo  # a lane whose s it clears counts 0, so takes no flips below
                 s ^= _block_dot(undo, h_t_rows, r, blocks, h_t_supports)
-                count = _count_words(s, plan)
+                count = _count_words(s, plan, block_masks)
             pending ^= expired
         upc = _carry_save(count)
 
@@ -368,9 +415,9 @@ def decode_many(h: QcParityCheck, words: Sequence[BitVector],
         if flips:
             if backflip:
                 again = flips & pending  # undoes a pending flip early: it leaves its slot
-                expiry = [due ^ (due & again) for due in expiry]
-                for expires, level in enumerate(_ttl_levels(upc, bounds, flips ^ again), done + 1):
-                    expiry[expires % TTL_SATURATION] |= level
+                if again:
+                    expiry = [due ^ (due & again) for due in expiry]
+                _ttl_levels(upc, bounds, flips ^ again, expiry, done)
                 pending ^= flips
             e ^= flips  # all selected bits at once
             s ^= _block_dot(flips, h_t_rows, r, blocks, h_t_supports)

@@ -17,7 +17,8 @@ exploits the ldpc side.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property, lru_cache
 
 from .gf2 import (
     BitVector,
@@ -98,12 +99,25 @@ class QcParityCheck:
             if b.r != self.params.r:
                 raise ValueError("block size differs from r")
 
+    @cached_property
+    def _h_t_rows(self) -> list[int]:
+        """The ``_transposed_rows``, which ``syndrome`` and every decode read.
+        Made on first use and kept, since blocks never change, as is the
+        decoder's plan (``bitflip._kept_plan``); equality, hashing and
+        pickles read only the fields."""
+        return _transposed_rows(self)
 
+    def __getstate__(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+@lru_cache(maxsize=16)
 def _two_generates(r: int) -> bool:
     """True when 2 has order r - 1 modulo r (Lucas test; r is then prime).
 
     For such r, x^r - 1 = (x + 1) Phi_r over GF(2) with Phi_r = 1 + x + ...
     + x^(r-1) irreducible, so a row inverts iff its weight is odd and below r.
+    Memoized, as every sample at one r asks it again.
     """
     if r <= 2 or pow(2, r - 1, r) != 1:
         return False
@@ -173,4 +187,4 @@ def syndrome(h: QcParityCheck, word: BitVector) -> BitVector:
     if word.length != h.params.n:
         raise ValueError("word length differs from code length")
     r = h.params.r
-    return BitVector(r, _block_dot(word.value, _transposed_rows(h), r))
+    return BitVector(r, _block_dot(word.value, h._h_t_rows, r))

@@ -48,6 +48,7 @@ about 0.35 ms and 0.2 ms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -141,14 +142,19 @@ def _chain_information_set(
     return m[rows], [*cols[rows].tolist(), *cols[tail].tolist()]
 
 
+@lru_cache(maxsize=8)
 def _pair_tables(d: int) -> tuple[np.ndarray, np.ndarray]:
     """Row pairs of the left half (rows < d // 2) and of the right half,
-    each as a (2, m) index array in ``combinations`` order."""
+    each as a (2, m) index array in ``combinations`` order.  Built once per
+    d and read-only, as every search at d shares them."""
     half = d // 2
-    return tuple(
+    tables = tuple(
         np.array(np.triu_indices(stop - start, 1)) + start
         for start, stop in ((0, half), (half, d))
     )
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def _hits(

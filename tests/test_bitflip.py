@@ -272,7 +272,9 @@ def test_fresh_ttl_matches_formula(make_rng):
                     if c >= thresholds[j // r] and oracle.randbelow(rng, 4))
         upc = [sum((c >> k & 1) << j for j, c in enumerate(counts)) for k in range(8)]
         bounds = bitflip._ttl_bounds(thresholds, weights, r, sat)
-        levels = bitflip._ttl_levels(upc, bounds, fresh)
+        expiry = [0] * sat  # a flip of ttl v, found at pass 0, goes into slot v % sat
+        bitflip._ttl_levels(upc, bounds, fresh, expiry, 0)
+        levels = expiry[1:] + expiry[:1]
         want = [min(sat, 1 + (c - thresholds[j // r]) * sat // weights[j // r])
                 if fresh >> j & 1 else 0 for j, c in enumerate(counts)]
         for j, ttl in enumerate(want):  # a fresh bit sits in the level of its ttl only
@@ -345,7 +347,8 @@ def reference_decode(h, word, cfg):
     outcome, and how the decode ended (clean, undo, flip, stall, max_iters)."""
     r, n = h.params.r, h.params.n
     h_t_rows = _transposed_rows(h)
-    plan = bitflip._count_plan(h, (1 << r) - 1)
+    plan = bitflip._count_plan(h)
+    masks = bitflip._block_masks(plan, (1 << r) - 1)
     weights = tuple(b.weight for b in h.blocks)
     full = (1 << n) - 1
     s = _block_dot(word.value, h_t_rows, r)
@@ -369,7 +372,7 @@ def reference_decode(h, word, cfg):
     majority = tuple((w + 2) // 2 for w in weights)
     ttl = [0] * sat.bit_length()
     for iteration in range(1, cfg.max_iters + 1):
-        upc = bitflip._carry_save(bitflip._count_words(s, plan))
+        upc = bitflip._carry_save(bitflip._count_words(s, plan, masks))
         pending = bitflip._any(ttl)
         if pending:
             borrow = pending
@@ -381,7 +384,7 @@ def reference_decode(h, word, cfg):
             if undo:
                 if toggle(undo):
                     return success(iteration, "undo")
-                upc = bitflip._carry_save(bitflip._count_words(s, plan))
+                upc = bitflip._carry_save(bitflip._count_words(s, plan, masks))
             pending ^= expired
         if cfg.threshold == "majority":
             thresholds = majority
@@ -479,6 +482,26 @@ def test_decode_many_undoes_saturated_ttl():
         assert decode_many(h, (y, y), cfg) == (want, want), i
 
 
+def test_plan_built_once_per_parity_check(monkeypatch):
+    # the plan is kept on the parity check: passes of 1, 2 and 3 lanes
+    # against one check build it once, and an equal but distinct check
+    # builds its own, so no cache outside the check holds it.  Outcomes are
+    # those against a freshly built check
+    rng, (h, *_) = _lane_checks(2)
+    words = [sample_fixed_weight(rng, h.params.n, t) for t in (0, 2, 4, 8, 20, 3)]
+    cfg = backflip_config()
+    want = decode_many(QcParityCheck(h.params, h.blocks), words, cfg)
+    builds = []
+    real = bitflip._count_plan
+    monkeypatch.setattr(bitflip, "_count_plan", lambda check: builds.append(check) or real(check))
+    got = sum((decode_many(h, words[a:b], cfg) for a, b in ((0, 1), (1, 3), (3, 6))), ())
+    assert got == want and builds == [h]
+    twin = QcParityCheck(h.params, h.blocks)
+    assert twin == h and hash(twin) == hash(h)
+    assert decode_many(twin, words, cfg) == want
+    assert len(builds) == 2 and builds[1] is twin
+
+
 def _record_calls(monkeypatch, events):
     """Append W for every count-word build, T for every carry-save tree and
     D for every syndrome product that the decoder makes, in call order."""
@@ -523,9 +546,10 @@ def test_count_words_one_per_rotation_of_the_heaviest_block():
     # words as the heaviest block has rotations, whatever n0: 5 on toy
     # ldpc (3, 5), 4 on LDPC3 (4, 3, 3), 3 on its holed copy (0, 3, 3)
     for h, count in zip(_toy_and_lane_checks(), (5, 4, 3)):
-        plan = bitflip._count_plan(h, (1 << h.params.r) - 1)
+        plan = bitflip._count_plan(h)
+        masks = bitflip._block_masks(plan, (1 << h.params.r) - 1)
         s = sample_fixed_weight(substream(b"\x5e" * 32, count), h.params.r, 40).value
-        assert len(bitflip._count_words(s, plan)) == count
+        assert len(bitflip._count_words(s, plan, masks)) == count
 
 
 def test_syndrome_update_walks_transposed_support():
@@ -538,13 +562,13 @@ def test_syndrome_update_walks_transposed_support():
     for h in _toy_and_lane_checks():
         r, n = h.params.r, h.params.n
         rows = _transposed_rows(h)
+        plan = bitflip._count_plan(h)
+        assert plan.h_t_rows == rows
+        # the supports the walk reads are those of the rows, r for 0
+        assert [sum(1 << t % r for t in supp) for supp in plan.h_t_supports] == rows
+        assert all(0 < t <= r for supp in plan.h_t_supports for t in supp)
         for lanes in (1, 2, 3):
             blocks = sum(((1 << r) - 1) << lane * n for lane in range(lanes))
-            plan = bitflip._count_plan(h, blocks)
-            assert plan.h_t_rows == rows
-            # the supports the walk reads are those of the rows, r for 0
-            assert [sum(1 << t % r for t in supp) for supp in plan.h_t_supports] == rows
-            assert all(0 < t <= r for supp in plan.h_t_supports for t in supp)
             for pick in (lambda w: 0, lambda w: 1, lambda w: w - 1, lambda w: w,
                          lambda w: w + 1, lambda w: lanes * r // 2):
                 for _ in range(3):

@@ -448,9 +448,9 @@ def test_vec_mul_spectra_kept_per_matrix(make_rng):
 
 
 def test_spectra_leave_keys_unchanged(make_rng):
-    # filling the spectra of a key's matrices changes none of equality,
-    # hashing, the wire bytes or the pickle bytes, and an unpickled key
-    # computes its own
+    # filling the spectra of a key's matrices, and the decoder plans of its
+    # parity checks, changes none of equality, hashing, the wire bytes or
+    # the pickle bytes, and an unpickled key computes its own
     pk, sk = keygen(TOY, make_rng(0x5E))
     before = (serialize_public(pk), serialize_secret(sk), hash(pk), hash(sk),
               pickle.dumps(pk), pickle.dumps(sk))
@@ -458,6 +458,7 @@ def test_spectra_leave_keys_unchanged(make_rng):
     ct = encrypt(pk, message, make_rng(0x60))
     assert decrypt(sk, ct) == message
     assert all("_spectra" in vars(m) for m in (pk.sg1, pk.sg2, sk.s_inv))
+    assert all({"_count_plan", "_h_t_rows"} <= vars(h).keys() for h in (sk.h1, sk.h2))
     after = (serialize_public(pk), serialize_secret(sk), hash(pk), hash(sk),
              pickle.dumps(pk), pickle.dumps(sk))
     assert after == before
