@@ -29,18 +29,17 @@ Every product takes one of two routes, chosen on the weight of the lighter
 operand against ``_SPARSE_MAX_WEIGHT``.  Up to it (the rows of H) the
 product is one shift-xor per set bit of that operand, always in
 ``_block_dot``: the syndrome, the decoder's updates, and the light pairs
-of ``vec_mul`` and ``CirculantBlock.__mul__``.  Above it (S, S^-1, the
-public generator, the plaintext) it is a real FFT convolution with two
-coefficients to a point (Kronecker substitution, ``_layout``), so the
-transform is about r long, not 2r: each operand's ``_spectrum``, and
-``_pack`` to round the inverse transform of the spectra's product, read
-the coefficients' parities out of its digits and fold them mod x^r - 1.
-``BlockMatrix.vec_mul`` keeps the spectra of a matrix's dense blocks from
-first use, so a loaded key's blocks are transformed once, and takes one
-inverse transform per spectral product: an encrypt takes 2 forward and 4
-inverse transforms.  ``CirculantBlock.__mul__`` transforms both blocks of
-a dense pair, as in ``BlockMatrix.inverse`` at k0 >= 2.  Block row i of
-``A @ B`` is ``B.vec_mul`` of A's row i.
+of ``BlockMatrix.vec_mul``.  Above it (S, S^-1, the public generator, the
+plaintext) it is a real FFT convolution with two coefficients to a point
+(Kronecker substitution, ``_layout``), so the transform is about r long,
+not 2r: each operand's ``_spectrum``, and ``_pack`` to round the inverse
+transform of the spectra's product, read the coefficients' parities out
+of its digits and fold them mod x^r - 1.  ``vec_mul`` decides for both
+callers, ``A @ B`` (block row i is ``B.vec_mul`` of A's row i) and
+``CirculantBlock.__mul__`` (a 1 x 1 matrix of the lighter block).  It
+keeps a matrix's dense spectra from first use, so a loaded key's blocks
+are transformed once, and takes one inverse transform per spectral
+product: an encrypt takes 2 forward and 4 inverse transforms.
 """
 
 from __future__ import annotations
@@ -143,14 +142,14 @@ class BitVector:
 
 # A lighter operand up to this weight takes ``_block_dot``'s set-bit loop, a
 # heavier one the spectral product of ``BlockMatrix.vec_mul`` (and its
-# ``_spectra``) or ``CirculantBlock.__mul__``, so every row of H (block weight
-# at most 137 at any preset) stays on the loop.  The bound sits below every
-# crossover: at r = 523 the loop takes 0.065 ms at w = 192 and ties kept
-# spectra near w = 224 (0.075 ms), and a product transforming both operands
-# (0.095 ms) never wins, as the lighter weighs at most about r/2; at r = 11779
-# the loop takes 0.38 ms and ties kept spectra near w = 300 (0.58 ms; 250 to
-# 390 over four runs), both transformed near w = 400 (0.77 ms).  Medians of 101
-# calls, taken in turn against a random row, 2-vCPU VM.
+# ``_spectra``), which ``CirculantBlock.__mul__`` takes too, so every row of H
+# (block weight at most 137 at any preset) stays on the loop.  The bound sits
+# below every crossover: at r = 523 the loop takes 0.065 ms at w = 192 and
+# ties kept spectra near w = 224 (0.075 ms), and a product transforming both
+# operands (0.095 ms) never wins, as the lighter weighs at most about r/2; at
+# r = 11779 the loop takes 0.38 ms and ties kept spectra near w = 300 (0.58
+# ms; 250 to 390 over four runs), both transformed near w = 400 (0.77 ms).
+# Medians of 101 calls, taken in turn against a random row, 2-vCPU VM.
 _SPARSE_MAX_WEIGHT = 192
 
 
@@ -254,7 +253,8 @@ def _block_dot(y: int, rows: list[int], r: int, blocks: int | None = None,
     """sum_i y_i(x) * rows[i](x) mod (x^r - 1) over the r-bit blocks y_i of
     the packed word y: a row vector times one column of circulants.
 
-    Each product is one shift-xor per set bit of its lighter operand.
+    Each product is one shift-xor per set bit of its lighter operand, for
+    the syndrome, the decoder and the light pairs ``vec_mul`` sends here.
     y may pack several words of n >= 2r bits, word l at bit l n; ``blocks``
     is then the r-bit mask at the foot of every word, and the result holds
     word l's sum at bit l n.  Block i of every word is multiplied at once,
@@ -365,14 +365,11 @@ class CirculantBlock:
         return CirculantBlock(self.r, self.row0 ^ other.row0)
 
     def __mul__(self, other: "CirculantBlock") -> "CirculantBlock":
+        """The heavier block times the lighter as a 1 x 1 matrix (``vec_mul``)."""
         if self.r != other.r:
             raise ValueError("block size mismatch")
-        r, a, b = self.r, self.row0.value, other.row0.value
-        if a.bit_count() > _SPARSE_MAX_WEIGHT and b.bit_count() > _SPARSE_MAX_WEIGHT:
-            product = _pack(_spectrum(a, r) * _spectrum(b, r), r)
-        else:
-            product = _block_dot(a, [b], r)
-        return CirculantBlock(r, BitVector(r, product))
+        light, heavy = sorted((self, other), key=lambda b: b.weight)
+        return CirculantBlock(self.r, BlockMatrix(((light,),)).vec_mul(heavy.row0))
 
     def transpose(self) -> "CirculantBlock":
         return CirculantBlock(
@@ -462,11 +459,11 @@ class BlockMatrix:
         """Row vector (block_rows * r bits) times this matrix.
 
         Output block j sums the products of v's blocks with block column j.
-        A product of two blocks heavier than ``_SPARSE_MAX_WEIGHT`` is a
-        product of spectra: each such block of v is transformed once per
-        call, this matrix's blocks once in its life (``_spectra``), and each
-        such product takes one inverse transform (``_pack``).  Every other
-        product goes through ``_block_dot``.
+        Every block product's route is chosen here, ``CirculantBlock.__mul__``'s
+        too: two blocks heavier than ``_SPARSE_MAX_WEIGHT`` multiply as
+        spectra, this matrix's transformed once in its life (``_spectra``),
+        a block of v once per call if its row keeps one, and each product
+        takes one inverse transform (``_pack``).  Others go to ``_block_dot``.
         """
         r = self.r
         if v.length != self.block_rows * r:
@@ -474,8 +471,9 @@ class BlockMatrix:
         mask = (1 << r) - 1
         parts = [v.value >> i * r & mask for i in range(self.block_rows)]
         spectra = self._spectra
+        kept = {i for i, _ in spectra}
         transformed = {i: _spectrum(y, r) for i, y in enumerate(parts)
-                       if y.bit_count() > _SPARSE_MAX_WEIGHT}
+                       if i in kept and y.bit_count() > _SPARSE_MAX_WEIGHT}
         out = 0
         for j in range(self.block_cols):
             rest, word = v.value, 0

@@ -8,21 +8,22 @@ and S an invertible k x k block scrambler, the published generator is
          [ 0      S G2 ]
 
 stored as circulant first rows only.  S is public: G1 and G2 are
-systematic, so S is verbatim the left block of both S G1 and S G2, a
-mixing map that keeps the systematic part from showing m1; the secret key
-keeps S only to derive S^-1.  Encryption of m = (m1 | m2) with
-fixed-weight noise (z1, z2) produces
+systematic, so S is verbatim the left block of both S G1 and S G2, and
+the secret key keeps it only to derive S^-1.  Encryption of m = (m1 | m2)
+with fixed-weight noise (z1, z2) produces
 
     c1 = m1 S G1 + z1
     c2 = m1 S G1 + m2 S G2 + z2 + mask(z1)
 
-where mask(z1) is a SHAKE-256 stream derived from z1.  Whoever knows the
+where mask(z1) is a SHAKE-256 stream derived from z1.  So m1 S shows in
+c1's first k bits, where anyone can test a candidate m1: like textbook
+McEliece, the scheme is one-way but not IND-CPA.  Whoever knows the
 sparse parity checks decodes c1 (mdpc stage, backflip), strips the first
 codeword and the mask from c2, decodes what is left (ldpc stage, classic
-bit flipping), and unscrambles both halves with S^-1.  The mask forces the
-second Plotkin coordinate to look like a random vector to anyone who only
-managed to recover the ldpc structure; the attack demo in this package
-shows exactly that failure mode.
+bit flipping), and unscrambles both halves with S^-1.  The mask keeps
+c1 + c2 from being a noisy ldpc codeword that a recovered sparse dual
+decodes; the attack demo in this package recovers that dual but runs no
+unmasked control, so it does not measure what the mask adds.
 """
 
 from __future__ import annotations

@@ -471,9 +471,10 @@ def test_spectra_leave_keys_unchanged(make_rng):
 
 
 def test_transforms_per_product(monkeypatch):
-    # each product transforms only what its route needs: a light pair and
-    # the key derivations none, a dense pair each of its blocks, and a key's
-    # matrix its blocks once, so a second vec_mul transforms the vector alone
+    # each product transforms only what its route needs: a light pair in
+    # either order, a dense vector against a light matrix and the key
+    # derivations none, a dense pair each of its blocks, and a key's matrix
+    # its blocks once, so a second vec_mul transforms the vector alone
     pk, sk = keygen(TOY, RandomStream(b"\x01" * 32))
     seen = []
     spectrum = gf2._spectrum
@@ -487,6 +488,8 @@ def test_transforms_per_product(monkeypatch):
     m1 = BitVector(TOY.k, RandomStream(b"\x02" * 32).take_bits(TOY.k))
     assert h.weight <= _SPARSE_MAX_WEIGHT < min(s.weight, s_inv.weight, m1.weight)
     assert transformed(lambda: h * s)[1] == []
+    assert transformed(lambda: s * h)[1] == []
+    assert transformed(lambda: BlockMatrix(((h,),)).vec_mul(s.row0)) == ((h * s).row0, [])
     assert transformed(lambda: derive_generator(sk.h1))[1] == []
     assert transformed(lambda: deserialize_secret(serialize_secret(sk)))[1] == []
     product, transforms = transformed(lambda: s * s_inv)
