@@ -3,18 +3,8 @@
 from .rng import RandomStream, derive_substream_seed, substream
 from .gf2 import BitVector, CirculantBlock, BlockMatrix, NotInvertibleError
 from .qc import QcParams, QcParityCheck, GenerationError
-from .bitflip import (
-    DecoderConfig,
-    DecodeOutcome,
-    DfrReport,
-    SelectionError,
-    backflip_config,
-    classic_bf_config,
-    clopper_pearson,
-    decode,
-    estimate_dfr,
-    select_t_for_dfr,
-)
+from .bitflip import DecoderConfig, DecodeOutcome, backflip_config, classic_bf_config, decode
+from .dfr import DfrReport, SelectionError, clopper_pearson, estimate_dfr, select_t_for_dfr
 from .scheme import (
     Ciphertext,
     DecryptionFailure,

@@ -31,7 +31,8 @@ from dataclasses import dataclass
 from . import dense
 from .gf2 import BitVector, BlockMatrix, CirculantBlock, _xgcd
 from .qc import QcParams, QcParityCheck
-from .bitflip import _camel_dict, decode_many
+from .bitflip import decode_many
+from .dfr import _camel_dict
 from .rng import RandomStream
 from .scheme import Ciphertext, PublicKey, ldpc_decoder_config
 from .stern import SternResult, stern_search

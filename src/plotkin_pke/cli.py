@@ -24,7 +24,7 @@ import tempfile
 
 from . import wire
 from .attack import recover_dual_structure, weak_key_attack_demo
-from .bitflip import estimate_dfr, select_t_for_dfr
+from .dfr import estimate_dfr, select_t_for_dfr
 from .gf2 import BitVector
 from .isd import ALGORITHMS, isd_cost, work_factor
 from .presets import LAB, PRESETS, preset

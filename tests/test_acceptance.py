@@ -16,7 +16,8 @@ from plotkin_pke.attack import (
     recover_dual_structure,
     weak_key_attack_demo,
 )
-from plotkin_pke.bitflip import backflip_config, decode, estimate_dfr
+from plotkin_pke.bitflip import backflip_config, decode
+from plotkin_pke.dfr import estimate_dfr
 from plotkin_pke.gf2 import (
     BitVector,
     BlockMatrix,

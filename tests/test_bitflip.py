@@ -11,21 +11,18 @@ import pytest
 from scipy.stats import beta
 
 import oracle
-from plotkin_pke import bitflip, dense
+from plotkin_pke import bitflip, dense, dfr
 from plotkin_pke.attack import recover_dual_structure
 from plotkin_pke.bitflip import (
     DecoderConfig,
-    SelectionError,
     backflip_config,
     classic_bf_config,
     DecodeOutcome,
-    clopper_pearson,
     decode,
     decode_many,
-    estimate_dfr,
-    select_t_for_dfr,
     upc_profile,
 )
+from plotkin_pke.dfr import SelectionError, clopper_pearson, estimate_dfr, select_t_for_dfr
 from plotkin_pke.gf2 import BitVector, BlockMatrix, CirculantBlock, _block_dot, sample_fixed_weight
 from plotkin_pke.qc import (
     QcParams,
@@ -658,8 +655,10 @@ def test_estimate_dfr_worker_count_invariant():
     assert a == b
 
 
-def test_estimate_dfr_caps_workers(monkeypatch):
-    # a serial stand-in for the pool: records the size asked for, starts nothing
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """A serial stand-in for the pool: starts nothing, and records in the
+    list it returns the size each pool asked for."""
     built = []
 
     class SerialPool:
@@ -675,10 +674,14 @@ def test_estimate_dfr_caps_workers(monkeypatch):
         map = staticmethod(map)
 
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
+    return built
+
+
+def test_estimate_dfr_caps_workers(serial_pool):
     cfg = classic_bf_config()
     capped = estimate_dfr(TOY_LDPC, 2, cfg, 6, RandomStream(b"\x06" * 32), workers=10**6)
-    assert all(w <= min(6, os.cpu_count() or 1) for w in built)
-    assert built or (os.cpu_count() or 1) == 1  # the stand-in, not a real pool, ran
+    assert all(w <= min(6, os.cpu_count() or 1) for w in serial_pool)
+    assert serial_pool or (os.cpu_count() or 1) == 1  # the stand-in, not a real pool, ran
     assert capped == estimate_dfr(TOY_LDPC, 2, cfg, 6, RandomStream(b"\x06" * 32), workers=1)
 
 
@@ -687,6 +690,46 @@ def test_estimate_dfr_rejects_nonpositive_workers(workers):
     with pytest.raises(ValueError, match="workers"):
         estimate_dfr(TOY_LDPC, 2, classic_bf_config(), 6, RandomStream(b"\x07" * 32),
                      workers=workers)
+
+
+@pytest.mark.parametrize("t", [TOY_LDPC.n + 1, -1])
+def test_estimate_dfr_rejects_out_of_range_weight(serial_pool, t):
+    # refused before a pool is built or a parity check sampled
+    with pytest.raises(ValueError, match=r"^t must lie in \[0, n\]"):
+        estimate_dfr(TOY_LDPC, t, classic_bf_config(), 4, RandomStream(b"\x07" * 32), workers=2)
+    assert serial_pool == []
+
+
+class _StubTrial:
+    """A trial that records the seed of each stream it takes and fails on
+    the substreams of chosen trial indices."""
+
+    def __init__(self, seed, failing):
+        self.failing = {substream(seed, i).seed for i in failing}
+        self.seen = []
+
+    def __call__(self, stream):
+        self.seen.append(stream.seed)
+        return stream.seed in self.failing
+
+
+def test_dfr_range_takes_its_trial():
+    seed, lo, hi, failing = b"\x0a" * 32, 3, 40, (5, 9, 17, 30)
+    walked = [substream(seed, i).seed for i in range(lo, hi)]
+    trial = _StubTrial(seed, failing)
+    assert dfr._dfr_range(trial, seed, lo, hi) == len(failing)
+    assert trial.seen == walked  # trial i takes substream(seed, i), in order from lo
+    # the k-th failure stops the loop; past the last failure it runs to hi
+    for k, last in zip(range(1, len(failing) + 2), (*failing, hi - 1)):
+        trial = _StubTrial(seed, failing)
+        assert dfr._dfr_range(trial, seed, lo, hi, stop_at=k) == min(k, len(failing))
+        assert trial.seen == walked[:last - lo + 1]
+    # any cut splits the count exactly, as estimate_dfr's workers need
+    for cut in range(lo, hi + 1):
+        trial = _StubTrial(seed, failing)
+        split = dfr._dfr_range(trial, seed, lo, cut) + dfr._dfr_range(trial, seed, cut, hi)
+        assert split == len(failing)
+        assert trial.seen == walked
 
 
 def _codeword_trial_failures(params, t, cfg, trials, seed):
@@ -746,13 +789,13 @@ def test_backflip_point_estimate_below_target_523_30_18():
 def measured(monkeypatch):
     """The error weights select_t_for_dfr measures, in order."""
     weights = []
-    measure = bitflip._dfr_range
+    measure = dfr._dfr_range
 
-    def recording(params, t, *args):
-        weights.append(t)
-        return measure(params, t, *args)
+    def recording(trial, *args):
+        weights.append(trial.args[1])  # partial(_dfr_trial, params, t, cfg)
+        return measure(trial, *args)
 
-    monkeypatch.setattr(bitflip, "_dfr_range", recording)
+    monkeypatch.setattr(dfr, "_dfr_range", recording)
     return weights
 
 

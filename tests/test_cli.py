@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from plotkin_pke import attack, cli
-from plotkin_pke.bitflip import SelectionError
+from plotkin_pke.dfr import SelectionError
 from plotkin_pke.cli import main
 from plotkin_pke.presets import LAB, TOY_T1, TOY_T2
 from plotkin_pke.stern import SternResult
