@@ -23,10 +23,7 @@ import sys
 import tempfile
 
 from . import wire
-from .attack import recover_dual_structure, weak_key_attack_demo
-from .dfr import estimate_dfr, select_t_for_dfr
 from .gf2 import BitVector
-from .isd import ALGORITHMS, isd_cost, work_factor
 from .presets import LAB, PRESETS, preset
 from .qc import GenerationError
 from .rng import RandomStream, substream
@@ -189,6 +186,8 @@ def _coordinate_setup(params: SchemeParams, which: int):
 
 
 def _cmd_dfr(args) -> int:
+    from .dfr import estimate_dfr, select_t_for_dfr
+
     params = _params_from_args(args)
     qc_params, cfg, default_t = _coordinate_setup(params, args.coordinate)
     rng = RandomStream(_parse_seed(args.seed))
@@ -221,6 +220,8 @@ def _cmd_dfr(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    from .isd import ALGORITHMS, isd_cost, work_factor
+
     params = _params_from_args(args)
     n, k = params.n, params.k
     raw = {
@@ -242,6 +243,8 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_attack_demo(args) -> int:
+    from .attack import recover_dual_structure, weak_key_attack_demo
+
     for flag, value in (("--samples", args.samples), ("--stern-iterations", args.stern_iterations)):
         if value < 0:
             raise ValueError(f"{flag} must be nonnegative")

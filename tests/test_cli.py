@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plotkin_pke import attack, cli
+from plotkin_pke import attack, cli, dfr
 from plotkin_pke.dfr import SelectionError
 from plotkin_pke.cli import main
 from plotkin_pke.presets import LAB, TOY_T1, TOY_T2
@@ -326,13 +326,13 @@ def test_dfr_estimate_mode(capsys):
 def test_dfr_estimate_mode_defaults(capsys, monkeypatch):
     # --trials and --workers stay None unless given, so that selection mode
     # can refuse them; estimate mode reads them as 1000 trials on one worker
-    calls, real = [], cli.estimate_dfr
+    calls, real = [], dfr.estimate_dfr
 
     def recording(params, t, cfg, trials, rng, workers):
         calls.append((trials, workers))
         return real(params, t, cfg, 5, rng, workers=workers)
 
-    monkeypatch.setattr(cli, "estimate_dfr", recording)
+    monkeypatch.setattr(dfr, "estimate_dfr", recording)
     code, _, _ = _run(capsys, ["dfr", "--preset", "toy", "--coordinate", "2", "--seed", SEED_A])
     assert code == 0 and calls == [(1000, 1)]
 
@@ -398,7 +398,7 @@ def test_dfr_select_reports_infeasible_target(capsys, monkeypatch):
     def infeasible(params, target, budget, cfg, rng):
         raise SelectionError(f"no error weight t >= 1 meets target {target:g}")
 
-    monkeypatch.setattr(cli, "select_t_for_dfr", infeasible)
+    monkeypatch.setattr(dfr, "select_t_for_dfr", infeasible)
     code, out, err = _run(capsys, [
         "dfr", "--preset", "toy", "--target", "1e-3", "--budget", "10000", "--seed", SEED_A,
     ])

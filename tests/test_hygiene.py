@@ -2,26 +2,35 @@
 module-level name of the package goes unread, no public one, nor any public
 method or property of a package class, is read by tests alone, only a known
 few are read by perfbench alone, every public name of the test oracle is
-read by some test module, and importing the CLI loads no scipy."""
+read by some test module, the package root exports each public name from
+its home module and imports that module on first read, and importing the CLI
+loads no scipy and no lab module."""
 
 import ast
+import importlib
+import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+import plotkin_pke
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = "src/plotkin_pke"
 SCANNED = (PACKAGE, "tests", "scripts")
 READERS = ("src", "tests", "scripts", "perfbench")
+MODULES = {path.stem for path in (ROOT / PACKAGE).glob("*.py")} - {"__init__"}
 
 
 def _exported(tree: ast.Module) -> set[str]:
-    """String entries of a module-level ``__all__`` list or tuple."""
+    """String entries of a module-level ``__all__`` list or tuple literal; a
+    computed ``__all__`` exports no imported name."""
     names = set()
     for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
+        if (isinstance(node, ast.Assign) and isinstance(node.value, (ast.List, ast.Tuple))
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
             names |= {e.value for e in node.value.elts if isinstance(e, ast.Constant)}
     return names
 
@@ -48,6 +57,9 @@ def test_unused_imports_detected():
         "print(os.path.sep)\n"
     )
     assert unused_imports(source) == [(2, "math"), (4, "parse")]
+    # a computed __all__ reads no imported name
+    assert unused_imports("from json import dumps\n__all__ = list({'dumps': 0})\n") == [
+        (1, "dumps")]
 
 
 def test_no_unused_imports():
@@ -244,12 +256,74 @@ def test_no_oracle_names_tests_leave_unread():
     assert unread_oracle((ROOT / "tests/oracle.py").read_text(), tests) == []
 
 
+def _fresh(code: str):
+    """What ``code``, run in a fresh interpreter that imports the package from
+    ``src/``, prints as JSON."""
+    prelude = f"import json, sys; sys.path.insert(0, {str(ROOT / 'src')!r})\n"
+    out = subprocess.run([sys.executable, "-c", prelude + code], capture_output=True,
+                         text=True, check=True, timeout=60)
+    return json.loads(out.stdout)
+
+
+LOADED = "sorted(m.split('.')[1] for m in sys.modules if m.startswith('plotkin_pke.'))"
+
+
 def test_cli_import_loads_no_scipy():
     # scipy.stats alone once took about 1.1 s of every cold CLI command
-    code = (
-        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import plotkin_pke.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    )
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, timeout=60)
-    assert out.stdout.strip() == "[]"
+    assert _fresh(
+        "import plotkin_pke.cli\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+    ) == []
+
+
+def test_imports_load_only_what_they_read():
+    # the root imports nothing until a name is read, and a scheme command
+    # loads no lab module (attack, dense, dfr, isd, stern)
+    assert _fresh(
+        f"import plotkin_pke\nbare = {LOADED}\n"
+        "for name in plotkin_pke.__all__:\n    getattr(plotkin_pke, name)\n"
+        f"print(json.dumps([bare, {LOADED}]))"
+    ) == [[], sorted(MODULES - {"cli", "wire"})]
+    assert _fresh(f"import plotkin_pke.cli\nprint(json.dumps({LOADED}))") == [
+        "bitflip", "cli", "gf2", "presets", "qc", "rng", "scheme", "wire"]
+
+
+# each public name of the package root, under the module it lives in
+EXPORTS = {
+    "rng": ["RandomStream", "derive_substream_seed", "substream"],
+    "gf2": ["BitVector", "BlockMatrix", "CirculantBlock", "NotInvertibleError"],
+    "qc": ["GenerationError", "QcParams", "QcParityCheck"],
+    "bitflip": ["DecodeOutcome", "DecoderConfig", "backflip_config", "classic_bf_config",
+                "decode"],
+    "dfr": ["DfrReport", "SelectionError", "clopper_pearson", "estimate_dfr",
+            "select_t_for_dfr"],
+    "scheme": ["Ciphertext", "DecryptionFailure", "PublicKey", "SchemeParams", "SecretKey",
+               "cca2_variant_public_bits", "decrypt", "encrypt", "hash_mask", "keygen",
+               "public_key_bits"],
+    "isd": ["IsdCostReport", "isd_cost", "keyrec_workfactor", "msgrec_workfactor"],
+    "stern": ["SternResult", "stern_search"],
+    "attack": ["AttackReport", "RecoveredDual", "recover_dual_structure",
+               "weak_key_attack_demo"],
+    "presets": ["PRESETS", "preset"],
+}
+
+
+def test_export_table():
+    assert sorted(plotkin_pke.__all__) == sorted(n for names in EXPORTS.values() for n in names)
+    for module, names in EXPORTS.items():
+        home = importlib.import_module(f"plotkin_pke.{module}")
+        for name in names:
+            assert getattr(plotkin_pke, name) is getattr(home, name)
+    assert not set(plotkin_pke.__all__) & MODULES  # no export hides a submodule
+    with pytest.raises(AttributeError, match="no_such_name"):
+        plotkin_pke.no_such_name
+    # dir lists every export before any is read; a name the table lacks falls
+    # through to its submodule; a star import binds exactly __all__
+    assert _fresh(
+        "import plotkin_pke\nlisted = set(plotkin_pke.__all__) <= set(dir(plotkin_pke))\n"
+        "from plotkin_pke import wire, cli, dense\n"
+        "star = {}\nexec('from plotkin_pke import *', star)\n"
+        "print(json.dumps([listed, [m.__name__ for m in (wire, cli, dense)],\n"
+        "                  sorted(star.keys() - {'__builtins__'})]))"
+    ) == [True, ["plotkin_pke.wire", "plotkin_pke.cli", "plotkin_pke.dense"],
+          sorted(plotkin_pke.__all__)]
