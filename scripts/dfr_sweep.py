@@ -3,8 +3,9 @@
 error weights.  Emits one JSON line per weight so the output pipes straight
 into jq or a plotting script.
 
-The decoder is the one decrypt runs at that flavor's stage, iteration cap
-included: ``scheme.STAGE_DECODERS[flavor]``.
+The decoder at each weight t is the one decrypt runs at that flavor's stage
+on a code of this size with t errors, iteration cap included:
+``scheme.stage_decoder_config(params, t)``.
 
 Example: reproduce the toy mdpc waterfall.
 
@@ -15,7 +16,7 @@ Example: reproduce the toy mdpc waterfall.
 import argparse
 
 from plotkin_pke import QcParams, estimate_dfr, substream
-from plotkin_pke.scheme import STAGE_DECODERS
+from plotkin_pke.scheme import stage_decoder_config
 
 
 def main() -> int:
@@ -42,12 +43,12 @@ def main() -> int:
         params = QcParams(n0=args.n0, r=args.r, w=args.w, flavor=args.flavor)
         if args.t_max > params.n:  # checked before the sweep spends trials on smaller t
             parser.error(f"--t-max exceeds the code length n = {params.n}")
-        cfg = STAGE_DECODERS[args.flavor]
         seed = bytes.fromhex(args.seed)
         for t in range(args.t_min, args.t_max + 1, args.t_step):
             # Fresh stream per weight: reordering or truncating the sweep must not
             # change any individual estimate.
             rng = substream(seed, t)
+            cfg = stage_decoder_config(params, t)
             report = estimate_dfr(params, t, cfg, trials=args.trials, rng=rng,
                                   workers=args.workers)
             print(report.to_json(), flush=True)

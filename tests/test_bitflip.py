@@ -5,6 +5,8 @@ import json
 import os
 import re
 import time
+from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -317,6 +319,46 @@ def test_decode_max_upc_rule(make_rng):
     assert out.success and out.codeword == cw
 
 
+# --- syndrome threshold rule --------------------------------------------------
+
+# (r, column weights, t) of the stage codes at cca128 and cca256, the 192-bit
+# ldpc code's unequal blocks, the toy and the lab
+SYNDROME_POINTS = [(11779, (71, 71), 134), (11779, (7, 7), 134), (40597, (137, 137), 264),
+                   (24821, (8, 7), 199), (523, (15, 15), 18), (101, (7, 7), 4)]
+
+
+def test_syndrome_x_matches_exact_expectation():
+    # X at cca128's mdpc code, as an exact expectation over the hypergeometric
+    # law of the error bits a check holds: r E[(l - 1) [l odd]]
+    r, w, t = 11779, 142, 134
+    n = 2 * r
+    law = [Fraction(comb(w, l) * comb(n - w, t - l), comb(n, t)) for l in range(t + 1)]
+    assert sum(law) == 1
+    exact = r * sum((l - 1) * p for l, p in enumerate(law) if l % 2)
+    assert bitflip._syndrome_x(r, w, n, t) == pytest.approx(float(exact), rel=1e-12)
+
+
+@pytest.mark.parametrize("r, weights, t", SYNDROME_POINTS)
+def test_syndrome_threshold_floored_capped_and_monotone(r, weights, t):
+    # between the majority bound and d at every |s|, from the one at |s| = 0 to
+    # the other at |s| = r, and never falling as |s| grows
+    n, w = 2 * r, sum(weights)
+    x = bitflip._syndrome_x(r, w, n, t)
+    for d in set(weights):
+        ts = [bitflip._syndrome_threshold(weight, d, w, n, t, x) for weight in range(r + 1)]
+        assert ts[0] == (d + 2) // 2 and ts[-1] == d
+        assert all(a <= b for a, b in zip(ts, ts[1:]))
+
+
+def test_syndrome_rule_needs_its_error_weight(make_rng):
+    with pytest.raises(ValueError, match="design error weight"):
+        classic_bf_config("syndrome")
+    h = sample_parity_check(make_rng(0x3E), TOY_LDPC)
+    with pytest.raises(ValueError, match="below the code length"):
+        decode(h, BitVector(1046, 1), classic_bf_config("syndrome", t=1046))
+    assert decode(h, BitVector(1046, 1), classic_bf_config("syndrome", t=1)).success
+
+
 # --- decode_many --------------------------------------------------------------
 
 
@@ -385,6 +427,11 @@ def reference_decode(h, word, cfg):
             pending ^= expired
         if cfg.threshold == "majority":
             thresholds = majority
+        elif cfg.threshold == "syndrome":
+            w = sum(weights)
+            x = bitflip._syndrome_x(r, w, n, cfg.t)
+            thresholds = tuple(bitflip._syndrome_threshold(s.bit_count(), d, w, n, cfg.t, x)
+                               for d in weights)
         else:
             thresholds = (max(bitflip._max_count(upc, full) - cfg.delta, 1),) * len(weights)
         bounds = bitflip._ttl_bounds(thresholds, weights, r, levels)
@@ -406,6 +453,7 @@ LANE_CONFIGS = (
     classic_bf_config(),
     classic_bf_config(threshold="max-upc-delta", delta=0),
     backflip_config(threshold="max-upc-delta", delta=1),
+    classic_bf_config(threshold="syndrome", t=4),
 )
 LDPC3 = QcParams(3, 101, 10, "ldpc")  # block weights 4, 3, 3: majority thresholds 3, 2, 2
 

@@ -8,10 +8,13 @@ import pytest
 import oracle
 from plotkin_pke import dense, preset, wire
 from plotkin_pke.attack import systematic_public_generator
+from plotkin_pke.bitflip import backflip_config, classic_bf_config
 from plotkin_pke.gf2 import BitVector, BlockMatrix, sample_fixed_weight
+from plotkin_pke.presets import LAB, PRESETS
 from plotkin_pke.qc import derive_generator
 from plotkin_pke.rng import RandomStream, substream
 from plotkin_pke.scheme import (
+    SYNDROME_RULE_MIN_R,
     Ciphertext,
     DecryptionFailure,
     SchemeParams,
@@ -62,9 +65,18 @@ def test_public_key_bit_counts():
 
 
 def test_stage_decoder_configs():
-    assert mdpc_decoder_config(TOY).variant == "backflip"
-    ldpc = ldpc_decoder_config(TOY)
-    assert ldpc.variant == "classic-bf" and ldpc.threshold == "majority"
+    # every full preset decodes both stages with classic-bf and the syndrome
+    # rule at its own t1 and t2; the toy and the lab keep backflip and majority
+    full = [params for params in PRESETS.values() if params.r >= SYNDROME_RULE_MIN_R]
+    assert len(full) == 6 and max(TOY.r, LAB.r) < SYNDROME_RULE_MIN_R
+    for params in full + [dataclasses.replace(preset("cca128"), t1=120, t2=100)]:
+        assert mdpc_decoder_config(params) == classic_bf_config("syndrome", max_iters=100,
+                                                                t=params.t1)
+        assert ldpc_decoder_config(params) == classic_bf_config("syndrome", max_iters=100,
+                                                                t=params.t2)
+    for params in (TOY, LAB):
+        assert mdpc_decoder_config(params) == backflip_config()
+        assert ldpc_decoder_config(params) == classic_bf_config()
 
 
 # --- keygen -------------------------------------------------------------------
@@ -167,6 +179,16 @@ def test_roundtrip_toy(make_rng):
     pk, sk = keygen(TOY, rng)
     for _ in range(5):
         m = BitVector(TOY.plaintext_bits, rng.take_bits(TOY.plaintext_bits))
+        assert decrypt(sk, encrypt(pk, m, rng)) == m
+
+
+def test_roundtrip_cca128(make_rng):
+    # the full-size stage decoders return every plaintext of a seeded batch
+    params = preset("cca128")
+    rng = make_rng(0x3B)
+    pk, sk = keygen(params, rng)
+    for _ in range(12):
+        m = BitVector(params.plaintext_bits, rng.take_bits(params.plaintext_bits))
         assert decrypt(sk, encrypt(pk, m, rng)) == m
 
 

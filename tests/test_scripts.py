@@ -8,9 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from plotkin_pke.scheme import SchemeParams, ldpc_decoder_config, mdpc_decoder_config
+from plotkin_pke.scheme import (
+    SYNDROME_RULE_MIN_R,
+    SchemeParams,
+    ldpc_decoder_config,
+    mdpc_decoder_config,
+)
 
-DESK = SchemeParams(2, 13, 5, 3, 1, 1)  # test_dfr_sweep runs on its two codes
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -40,16 +44,22 @@ def test_dfr_sweep(monkeypatch, capsys):
         return estimate(params, t, cfg, **kw)
 
     monkeypatch.setattr(module, "estimate_dfr", recording)
-    for flavor, w, stage_decoder in (("mdpc", "5", mdpc_decoder_config),
-                                     ("ldpc", "3", ldpc_decoder_config)):
-        configs.clear()
-        out = _run_script("dfr_sweep", ["--r", "13", "--w", w, "--flavor", flavor,
-                                        "--t-max", "2", "--trials", "3"],
-                          monkeypatch, capsys, module)
-        records = [json.loads(line) for line in out.splitlines()]
-        assert [rec["t"] for rec in records] == [1, 2]
-        assert all(rec["trials"] == 3 for rec in records)
-        assert configs == [stage_decoder(DESK)] * 2
+    # at r = 13 that decoder is the same for every t; from SYNDROME_RULE_MIN_R
+    # it is the syndrome rule designed for each weight swept, as decrypt runs
+    # it on a code of that size with t1 or t2 errors
+    for r, w1, w2, ts in ((13, 5, 3, (1, 2)), (SYNDROME_RULE_MIN_R + 1, 90, 15, (3, 5))):
+        for flavor, w, stage_decoder in (("mdpc", w1, mdpc_decoder_config),
+                                         ("ldpc", w2, ldpc_decoder_config)):
+            configs.clear()
+            out = _run_script("dfr_sweep", ["--r", str(r), "--w", str(w), "--flavor", flavor,
+                                            "--t-min", str(ts[0]), "--t-max", str(ts[1]),
+                                            "--t-step", str(ts[1] - ts[0]), "--trials", "3"],
+                              monkeypatch, capsys, module)
+            records = [json.loads(line) for line in out.splitlines()]
+            assert [rec["t"] for rec in records] == list(ts)
+            assert all(rec["trials"] == 3 for rec in records)
+            assert configs == [stage_decoder(SchemeParams(2, r, w1, w2, t, t)) for t in ts]
+            assert all((cfg.threshold == "syndrome") == (r > 13) for cfg in configs)
 
 
 def test_dfr_sweep_waterfall_known_answer(monkeypatch, capsys):
