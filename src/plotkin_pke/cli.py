@@ -34,9 +34,8 @@ from .scheme import (
     decrypt,
     encrypt,
     keygen,
-    ldpc_decoder_config,
-    mdpc_decoder_config,
     public_key_bits,
+    stage_decoder_config,
 )
 
 EXIT_OK = 0
@@ -179,17 +178,12 @@ def _cmd_decrypt(args) -> int:
     return EXIT_OK
 
 
-def _coordinate_setup(params: SchemeParams, which: int):
-    if which == 1:
-        return params.mdpc_params(), mdpc_decoder_config(params), params.t1
-    return params.ldpc_params(), ldpc_decoder_config(params), params.t2
-
-
 def _cmd_dfr(args) -> int:
     from .dfr import estimate_dfr, select_t_for_dfr
 
     params = _params_from_args(args)
-    qc_params, cfg, default_t = _coordinate_setup(params, args.coordinate)
+    qc_params, default_t = ((params.mdpc_params(), params.t1) if args.coordinate == 1
+                            else (params.ldpc_params(), params.t2))
     rng = RandomStream(_parse_seed(args.seed))
     if args.target is not None:
         if args.budget is None:
@@ -202,6 +196,7 @@ def _cmd_dfr(args) -> int:
             raise ValueError("--target must lie in (0, 1]")
         if args.budget < 10.0 / args.target:
             raise ValueError("--budget is too small to resolve --target (need >= 10/target)")
+        cfg = stage_decoder_config(qc_params, default_t)
         t = select_t_for_dfr(qc_params, args.target, args.budget, cfg, rng)
         _print({
             "coordinate": args.coordinate,
@@ -213,6 +208,8 @@ def _cmd_dfr(args) -> int:
     if args.budget is not None:
         raise ValueError("--budget requires --target")
     t = args.t if args.t is not None else default_t
+    # the decoder designed for t, as ``scripts/dfr_sweep.py`` runs it
+    cfg = stage_decoder_config(qc_params, t)
     report = estimate_dfr(qc_params, t, cfg, 1000 if args.trials is None else args.trials,
                           rng, workers=1 if args.workers is None else args.workers)
     _print(report.to_dict())

@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 from plotkin_pke import attack, cli, dfr
 from plotkin_pke.dfr import SelectionError
 from plotkin_pke.cli import main
-from plotkin_pke.presets import LAB, TOY_T1, TOY_T2
+from plotkin_pke.presets import LAB, TOY_T1, TOY_T2, preset
+from plotkin_pke.scheme import ldpc_decoder_config, stage_decoder_config
 from plotkin_pke.stern import SternResult
 from plotkin_pke.wire import HEADER_BYTES
 
@@ -335,6 +336,27 @@ def test_dfr_estimate_mode_defaults(capsys, monkeypatch):
     monkeypatch.setattr(dfr, "estimate_dfr", recording)
     code, _, _ = _run(capsys, ["dfr", "--preset", "toy", "--coordinate", "2", "--seed", SEED_A])
     assert code == 0 and calls == [(1000, 1)]
+
+
+def test_dfr_designs_the_stage_decoder_for_t(capsys, monkeypatch):
+    # at a full preset the syndrome rule is designed for an error weight:
+    # --t designs it, as scripts/dfr_sweep.py does, not the preset's t2
+    calls, real = [], dfr.estimate_dfr
+
+    def recording(params, t, cfg, trials, rng, workers):
+        calls.append((params, t, cfg))
+        return real(params, t, cfg, trials, rng, workers=workers)
+
+    monkeypatch.setattr(dfr, "estimate_dfr", recording)
+    code, out, _ = _run(capsys, [
+        "dfr", "--preset", "cca128", "--coordinate", "2",
+        "--t", "40", "--trials", "1", "--seed", SEED_A,
+    ])
+    assert code == 0 and json.loads(out)["t"] == 40
+    params = preset("cca128")
+    ldpc = params.ldpc_params()
+    assert calls == [(ldpc, 40, stage_decoder_config(ldpc, 40))]
+    assert calls[0][2] != ldpc_decoder_config(params)
 
 
 @pytest.mark.parametrize("workers", ["0", "-5"])

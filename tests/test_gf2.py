@@ -372,6 +372,66 @@ def test_xgcd_matches_oracle():
     assert common > len(cases) // 4
 
 
+def y_basis_laurent(y: int, h: int) -> int:
+    """x^h Y(x + x^-1) for Y(y) = sum_i y_i y^i of degree at most h."""
+    acc = 0
+    for i in range(h + 1):
+        if y >> i & 1:
+            term = 1 << h - i
+            for _ in range(i):
+                term = oracle.poly_mul(term, 0b101)  # x^(h-i) (1 + x^2)^i
+            acc ^= term
+    return acc
+
+
+@pytest.mark.parametrize("h", [1, 2, 3, 4, 7, 8, 9, 16, 33])
+def test_change_basis_rewrites_coordinates_in_powers_of_y(make_rng, h):
+    rng = make_rng(h)
+    for _ in range(8):
+        c = rng.take_bits(h + 1)
+        y = gf2._change_basis(c, h)
+        assert gf2._change_basis(y, h, inverse=True) == c
+        # c_0 + sum_k c_k (x^k + x^-k), times x^h
+        want = (c & 1) << h
+        for k in range(1, h + 1):
+            want ^= (c >> k & 1) * (1 << h + k | 1 << h - k)
+        assert y_basis_laurent(y, h) == want
+
+
+@pytest.mark.parametrize("r", [3, 5, 9, 23, 31, 65])
+def test_norm_modulus_is_phi_in_y(r):
+    h = (r - 1) // 2
+    m = gf2._norm_modulus(r)
+    assert m.bit_length() == h + 1
+    assert y_basis_laurent(m, h) == (1 << r) - 1  # Phi_r
+
+
+# 2053: 2 is primitive; 2063: prime, 2 is not; 2049 = 3 * 683; 2047 = 23 * 89,
+# where x^23 - 1 has the odd-weight factor 1 + x + x^5 + x^6 + x^7 + x^9 + x^11
+@pytest.mark.parametrize("r, factor", [(2053, 1), (2063, 1), (2049, 0b111), (2047, 0b101011100011)])
+def test_norm_route_matches_xgcd(make_rng, r, factor):
+    assert r >= gf2._NORM_MIN_R
+    rng = make_rng(r % 256)
+    mask = (1 << r) - 1
+    rows = [0, 1, 0b11, mask]
+    rows += [rng.take_bits(r) for _ in range(6)]
+    rows += [sample_fixed_weight(rng, r, w).value for w in (6, 7, 7, 71, 71)]
+    for _ in range(4):
+        f = rng.take_bits(r)
+        f = oracle.poly_mul(factor, f ^ (f.bit_count() + 1) % 2)  # f of odd weight
+        rows.append((f & mask) ^ (f >> r))
+    refused = 0
+    for a in rows:
+        g, u = gf2._xgcd(a, (1 << r) | 1)
+        if g == 1:
+            assert gf2._inverse_mod(a, r) == u
+        else:
+            refused += a.bit_count() % 2
+            with pytest.raises(NotInvertibleError, match="shares a factor"):
+                gf2._inverse_mod(a, r)
+    assert refused >= (1 if factor == 1 else 5)  # the all-ones row, and the factor rows
+
+
 def test_even_weight_never_invertible(rng):
     # even-weight rows share the root x=1 with x^r - 1
     for _ in range(20):

@@ -1,11 +1,12 @@
 """Serialization: lossless round trips and strict rejection of bad bytes."""
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
 from plotkin_pke import preset
-from plotkin_pke.gf2 import BitVector
+from plotkin_pke.gf2 import BitVector, BlockMatrix, CirculantBlock
 from plotkin_pke.rng import RandomStream
 from plotkin_pke.scheme import SchemeParams, encrypt, keygen
 from plotkin_pke.wire import (
@@ -148,6 +149,20 @@ def test_public_key_with_two_scramblers_rejected():
     blob[HEADER_BYTES + bit // 8] ^= 1 << (bit % 8)
     with pytest.raises(WireFormatError, match="scramblers"):
         deserialize_public(bytes(blob))
+
+
+@pytest.mark.parametrize("scrambler", ["even weight", "all ones"])
+def test_full_size_secret_with_singular_scrambler_rejected(scrambler):
+    # S^-1 at cca128 takes the norm route of gf2._inverse_mod, which the
+    # toy-size keys above never reach: x + 1 divides an even-weight row, and
+    # the all-ones row is Phi_r itself
+    params = preset("cca128")
+    _, sk = keygen(params, RandomStream(b"\x11" * 32))
+    r = params.r
+    row = sk.s.blocks[0][0].row0.value ^ 1 if scrambler == "even weight" else (1 << r) - 1
+    bad = replace(sk, s=BlockMatrix(((CirculantBlock(r, BitVector(r, row)),),)))
+    with pytest.raises(WireFormatError, match="does not invert"):
+        deserialize_secret(serialize_secret(bad))
 
 
 def test_secret_weight_mismatch(material):
