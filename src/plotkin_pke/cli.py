@@ -4,7 +4,9 @@ Subcommands: keygen, encrypt, decrypt, dfr, estimate, attack-demo.
 Results go to stdout as JSON, diagnostics to stderr.  attack-demo runs one
 Stern search and prints its per-key facts once; each sample holds what one
 ciphertext's attack did.  When the search finds no row there is nothing to
-attack the samples with, so it reports ``samples: []``.  Exit codes:
+attack the samples with, so it reports ``samples: []``.  estimate reports
+``log2WorkFactor: null`` for a model with no finite cost, as when the
+errors cannot all miss an information set (t1 > n - k).  Exit codes:
 
     0  success
     2  bad parameters, malformed or unreadable files, unwritable outputs,
@@ -126,7 +128,7 @@ def _add_params_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _print(obj: dict) -> None:
-    print(json.dumps(obj, indent=2))
+    print(json.dumps(obj, indent=2, allow_nan=False))
 
 
 def _cmd_keygen(args) -> int:

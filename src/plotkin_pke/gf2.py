@@ -17,11 +17,13 @@ arithmetic modulo x^r - 1.  This module keeps rows as plain Python ints
 Useful facts used throughout: transposing a circulant reverses the index of
 every nonzero coefficient (j -> -j mod r); a circulant is invertible iff
 gcd(a(x), x^r - 1) = 1, which requires odd row weight, and Euclid run one
-leading term per step (``_xgcd``) finds the inverse; for odd r from
-``_NORM_MIN_R`` = 2000 to ``_layout``'s 65533, ``_inverse_mod`` runs that
+leading term per step (``_xgcd``) finds the inverse, each remainder packed
+with its cofactor in one int above a width K that grows with the
+cofactors' degree bound, so one shift-xor moves both; for odd r from
+``_NORM_MIN_R`` = 2500 to ``_layout``'s 65533, ``_inverse_mod`` runs that
 Euclid at half length, on the norm a(x) a(x^-1), a polynomial in
 y = x + x^-1 of degree at most (r - 1)/2, and two products take its
-inverse back (0.43 of the time of ``_xgcd`` at r = 11779, 0.38 at 40597);
+inverse back (0.49 of the time of ``_xgcd`` at r = 11779, 0.42 at 40597);
 when 2 has order r - 1 modulo r, x^r - 1 = (x + 1) Phi_r with
 Phi_r = 1 + x + ... + x^(r-1) irreducible, so odd weight below r is also
 sufficient (the all-ones row is Phi_r itself), which lets
@@ -299,6 +301,10 @@ def _transpose_row(v: int, r: int) -> int:
     return ((rev << 1) | (rev >> (r - 1))) & ((1 << r) - 1)  # j -> r - 1 - j -> j + 1
 
 
+# ``_xgcd`` raises its cofactor width K by at least this many bits at a time
+_XGCD_K_STEP = 256
+
+
 def _xgcd(a: int, b: int) -> tuple[int, int]:
     """(g, u) with g = gcd(a(x), b(x)) and u a = g mod b, for b != 0.
 
@@ -306,18 +312,35 @@ def _xgcd(a: int, b: int) -> tuple[int, int]:
     by the degree gap, is XORed into the higher one, and likewise for the
     cofactors, so no quotient is built.  The pair swaps exactly when a long
     division would end, so u is the classical cofactor, of degree below
-    deg b - deg g when deg a < deg b.  The bit lengths of the remainders
-    are carried along, so a step measures only the one it changed.
+    deg b - deg g when deg a < deg b.
+
+    Each remainder shares one int with its cofactor, R = r 2^K + u, so one
+    shift-xor moves both, and bit lengths (K included) give the degree gap
+    with no correction; r = 0 exactly when len R <= K.  While r_j divides,
+    every cofactor has degree at most deg b - deg r_j (the classical bound),
+    so K >= len b - len r_j + 1 holds it; K keeps one bit more, len R_j >=
+    len b + 2.  K must grow as the divisor shrinks, so before each division
+    it is raised to that, by ``_XGCD_K_STEP`` bits or more, which re-splits
+    both ints; each then stays about len b + ``_XGCD_K_STEP`` bits long, the
+    size of a remainder and its cofactor held apart.
     """
-    r0, u0, r1, u1 = a, 1, b, 0  # invariant: r_i = u_i a mod b
-    n0, n1 = a.bit_length(), b.bit_length()
-    while r0:
-        if n0 < n1:
-            r0, u0, n0, r1, u1, n1 = r1, u1, n1, r0, u0, n0
-        r0 ^= r1 << (n0 - n1)
-        u0 ^= u1 << (n0 - n1)
-        n0 = r0.bit_length()
-    return r1, u1
+    k, limit = _XGCD_K_STEP, b.bit_length() + 1
+    p, q = a << k | 1, b << k  # invariant: r_i = u_i a mod b; q divides p
+    while True:
+        m = q.bit_length()
+        if m <= limit:
+            step = max(_XGCD_K_STEP, limit + 1 - m)
+            low = (1 << k) - 1
+            p = p >> k << k + step | p & low
+            q = q >> k << k + step | q & low
+            k, m = k + step, m + step
+        n = p.bit_length()
+        while n >= m:
+            p ^= q << n - m if n > m else q  # a shift by 0 would copy q
+            n = p.bit_length()
+        if n <= k:
+            return q >> k, q & (1 << k) - 1
+        p, q = q, p
 
 
 def _change_basis(c: int, h: int, inverse: bool = False) -> int:
@@ -352,12 +375,13 @@ def _norm_modulus(r: int) -> int:
 # From this r (odd, up to ``_layout``'s 65533) ``_inverse_mod`` inverts
 # through the norm, whose Euclid runs at half length; below it the two
 # products and the basis change cost more than the Euclid saves.  Against
-# ``_xgcd`` on a dense odd row the route took 1.94 of its time at r = 523,
-# 1.27 at 1031, 1.12 at 1543, 1.03 at 1801, 0.98 at 2053, 0.73 at 4099,
-# 0.43 at 11779 and 0.38 at 40597, and on a row of weight 71 0.75 at 2053
-# and 0.36 at 11779 (medians of 21 calls taken in turn, 7 at r > 20000,
-# 2-vCPU VM).
-_NORM_MIN_R = 2000
+# ``_xgcd`` on a dense odd row the route took 2.57 of its time at r = 523,
+# 1.74 at 1031, 1.37 at 1543, 1.21 at 1801, 1.13 at 2053, 1.07 at 2309,
+# 1.02 at 2459, 0.99 at 2579, 0.79 at 4099, 0.49 at 11779 and 0.42 at
+# 40597, and on a row of weight 71 1.77 at 523, 0.81 at 2053, 0.36 at 11779
+# and 0.35 at 40597 (medians of 21 calls taken in turn, 7 at r > 20000, and
+# of 6 rows from 2309 to 2579; 2-vCPU VM).
+_NORM_MIN_R = 2500
 
 
 def _inverse_mod(a: int, r: int) -> int:

@@ -165,12 +165,14 @@ class IsdCostReport:
         return self.log2_cost - self.doom_divisor_log2
 
     def to_dict(self) -> dict:
+        """JSON-ready fields; a work factor with no finite cost is None."""
+        wf = self.log2_work_factor
         return {
             "algorithm": self.algorithm,
             "n": self.n,
             "k": self.k,
             "w": self.w,
-            "log2WorkFactor": self.log2_work_factor,
+            "log2WorkFactor": wf if math.isfinite(wf) else None,
             "params": self.params,
             "doomDivisorLog2": self.doom_divisor_log2,
         }

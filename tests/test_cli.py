@@ -452,6 +452,27 @@ def test_estimate_reports_both_attacks(capsys):
     assert set(record["rawCosts"]["keyRecovery"]) == {"prange", "stern", "bjmm2"}
 
 
+def _strict_json(text: str):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_estimate_prints_null_for_an_infinite_cost(capsys):
+    # t1 > n - k: the errors cannot all miss an information set, so no
+    # model has a finite cost; strict JSON carries that as null
+    code, out, _ = _run(capsys, ["estimate", "--r", "101", "--w1", "14", "--w2", "6",
+                                 "--t1", "150", "--t2", "4"])
+    assert code == 0
+    record = _strict_json(out)
+    assert record["messageRecovery"]["log2WorkFactor"] is None
+    for report in record["rawCosts"]["messageRecovery"].values():
+        assert report["log2WorkFactor"] is None
+    assert 0 < record["keyRecovery"]["log2WorkFactor"] < 64
+    for name in ("toy", "cca128"):
+        _strict_json(_run(capsys, ["estimate", "--preset", name])[1])
+
+
 @pytest.mark.parametrize("name, digest", [
     ("cca128", "86c9a190a5d0199e6ab1df70e950fb87a08d3cb5a6d334a319e5e313ee7406ad"),
     ("toy", "98181fc3e891dea187b8a8139e14c99bf9f690925fa6b30a9a084f3a13abf9c8"),

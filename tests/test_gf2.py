@@ -351,9 +351,12 @@ def test_block_inverse_round_trip(rng):
         assert odd_singular > 0
 
 
-def test_xgcd_matches_oracle():
-    # random pairs, pairs with a common factor, a = 0, and rows against the
-    # x^r - 1 moduli that inversion uses, odd and even weight
+def test_xgcd_matches_oracle(monkeypatch):
+    # random pairs, pairs with a common factor, a = 0, rows against the
+    # x^r - 1 moduli that inversion uses, odd and even weight, collapsing
+    # pairs (a = b q + s, s of a few bits: the divisor shrinks by hundreds of
+    # bits in one division, so the cofactor width K is raised to its bound),
+    # and every preset's norm modulus against a dense Q and a weight-71 norm
     g = np.random.default_rng(0x6C)
     cases = [(0, 1), (0, 0b1011), (1, 1), (0b110, 0b11), (0b101, 0b101)]
     for _ in range(400):
@@ -364,12 +367,23 @@ def test_xgcd_matches_oracle():
         for weight in (6, 7, 71):
             row = sample_fixed_weight(RandomStream(bytes([weight]) * 32), r, weight)
             cases.append((row.value, (1 << r) | 1))
-    common = 0
-    for a, b in cases:
-        got = gf2._xgcd(a, b)
-        assert got == oracle.xgcd(a, b)
-        common += got[0] != 1
-    assert common > len(cases) // 4
+    for _ in range(100):
+        b, q = (int.from_bytes(g.bytes(size), "little") | 1 for size in g.integers(1, 160, 2))
+        a = oracle.poly_mul(b, q) ^ int(g.integers(1, 64))
+        cases += [(a, b), (b, a)]
+    for r in sorted({p.r for p in PRESETS.values()}):
+        h = (r - 1) // 2
+        row = CirculantBlock(r, sample_fixed_weight(RandomStream(bytes([r % 256]) * 32), r, 71))
+        norm = (row * row.transpose()).row0.value
+        for y in (int.from_bytes(g.bytes(h // 8 + 1), "little") >> 7 - h % 8,
+                  gf2._change_basis(norm & (1 << h + 1) - 1, h)):
+            cases.append((y, gf2._norm_modulus(r)))
+    want = [oracle.xgcd(a, b) for a, b in cases]
+    assert sum(gcd != 1 for gcd, _ in want) > len(cases) // 4
+    # and again with K raised by the least it needs, before nearly every division
+    for step in (gf2._XGCD_K_STEP, 1):
+        monkeypatch.setattr(gf2, "_XGCD_K_STEP", step)
+        assert [gf2._xgcd(a, b) for a, b in cases] == want
 
 
 def y_basis_laurent(y: int, h: int) -> int:
@@ -407,10 +421,11 @@ def test_norm_modulus_is_phi_in_y(r):
 
 
 # 2053: 2 is primitive; 2063: prime, 2 is not; 2049 = 3 * 683; 2047 = 23 * 89,
-# where x^23 - 1 has the odd-weight factor 1 + x + x^5 + x^6 + x^7 + x^9 + x^11
+# where x^23 - 1 has the odd-weight factor 1 + x + x^5 + x^6 + x^7 + x^9 + x^11;
+# these r sit near the route's crossover, so each test lowers the bound to r
 @pytest.mark.parametrize("r, factor", [(2053, 1), (2063, 1), (2049, 0b111), (2047, 0b101011100011)])
-def test_norm_route_matches_xgcd(make_rng, r, factor):
-    assert r >= gf2._NORM_MIN_R
+def test_norm_route_matches_xgcd(make_rng, monkeypatch, r, factor):
+    monkeypatch.setattr(gf2, "_NORM_MIN_R", r)
     rng = make_rng(r % 256)
     mask = (1 << r) - 1
     rows = [0, 1, 0b11, mask]
